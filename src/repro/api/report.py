@@ -35,7 +35,11 @@ from ..core.solution import Solution
 #: attribution; ``None`` unless ``strategy="portfolio"``).
 #: 5: ``stats`` gained the subproblem-routing counters
 #: (``subproblems_routed``, ``route_conversions``, ``route_hits``).
-REPORT_SCHEMA_VERSION = 5
+#: 6: those routing counters are gone again with the truth-table
+#: engine, the echoed ``request`` lost the deprecated ``mode`` alias and
+#: the four engine-selection knobs, and ``strategy`` always names a
+#: strategy.
+REPORT_SCHEMA_VERSION = 6
 
 
 @dataclass

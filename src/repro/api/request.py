@@ -1,8 +1,8 @@
 """Declarative solve specifications.
 
 A :class:`SolveRequest` describes one BREL solve as *pure data*: the
-relation source, the objective, the minimiser, the exploration mode, and
-the budgets — everything :class:`repro.core.BrelOptions` holds, but with
+relation source, the objective, the minimiser, the exploration strategy,
+and the budgets — everything :class:`repro.core.BrelOptions` holds, but with
 the live callables replaced by registry names so the spec round-trips
 through JSON (``from_dict(r.to_dict()) == r``), can be stored in batch
 manifests, and can cross process boundaries.
@@ -36,7 +36,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-import warnings
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
@@ -216,15 +215,15 @@ class SolveRequest:
 
     All solver knobs mirror :class:`repro.core.BrelOptions` but name the
     callables through the :mod:`repro.api.registry` tables.  Construction
-    validates everything eagerly — unknown registry names, bad modes, and
-    negative budgets are rejected here, not deep inside a worker process.
+    validates everything eagerly — unknown registry names, bad strategies,
+    and negative budgets are rejected here, not deep inside a worker
+    process.
     """
 
     relation: Any = None
     cost: str = "size"
     minimizer: str = "isop"
-    mode: str = "bfs"
-    strategy: Optional[str] = None
+    strategy: str = "bfs"
     max_explored: Optional[int] = 10
     fifo_capacity: Optional[int] = 64
     #: Tri-state like the BrelOptions field: None = strategy default
@@ -247,27 +246,6 @@ class SolveRequest:
     #: solves monolithically.  Sharded reports carry the block
     #: breakdown in :attr:`SolveReport.partition`.
     decompose: Optional[bool] = None
-    #: Function-engine selection (mirrors
-    #: :attr:`repro.core.BrelOptions.backend`): ``None``/``"bdd"`` stay
-    #: on the ROBDD engine, ``"auto"`` routes narrow (sub)relations to
-    #: the bit-parallel truth-table kernel, ``"table"`` forces it
-    #: (rejecting relations too wide to tabulate).  Logical results and
-    #: costs are identical either way.
-    backend: Optional[str] = None
-    #: Width threshold for ``backend="auto"``/``"table"``; ``None``
-    #: uses :data:`repro.table.DEFAULT_TABLE_WIDTH`.
-    table_width: Optional[int] = None
-    #: In-recursion routing tri-state (mirrors
-    #: :attr:`repro.core.BrelOptions.route_subproblems`): ``True``
-    #: serves narrow ISF minimisations inside the recursive loop from
-    #: the table kernel (byte-identical results), ``False`` never does,
-    #: ``None`` (auto) follows ``backend="auto"``.
-    route_subproblems: Optional[bool] = None
-    #: Raw-table kernel (mirrors
-    #: :attr:`repro.core.BrelOptions.table_kernel`): ``"int"``,
-    #: ``"numpy"``, ``"auto"``, or ``None`` to honour
-    #: ``REPRO_TABLE_KERNEL`` then default to auto.
-    table_kernel: Optional[str] = None
     #: Racer line-up for ``strategy="portfolio"`` (mirrors
     #: :attr:`repro.core.BrelOptions.portfolio_racers`): ``None`` races
     #: the default line-up; otherwise a comma-separated string or a
@@ -288,13 +266,6 @@ class SolveRequest:
             from ..core.portfolio import normalize_racers
             object.__setattr__(self, "portfolio_racers",
                                normalize_racers(self.portfolio_racers))
-        if self.mode != "bfs":
-            # The request warns here, once; to_options() deliberately
-            # does not (it runs on every solve of the same request).
-            warnings.warn(
-                "the 'mode' field is a deprecated alias; pass "
-                "strategy=%r instead" % self.mode,
-                DeprecationWarning, stacklevel=3)
         if self.cost not in cost_registry:
             cost_registry.get(self.cost)  # raises with the valid names
         if self.minimizer not in minimizer_registry:
@@ -305,25 +276,15 @@ class SolveRequest:
 
     # -- conversion ----------------------------------------------------
     def exploration_strategy(self) -> str:
-        """The effective strategy name (``strategy`` wins over the
-        deprecated ``mode`` alias)."""
-        return self.strategy if self.strategy is not None else self.mode
+        """The exploration strategy name."""
+        return self.strategy
 
     def to_options(self) -> BrelOptions:
-        """Resolve the registry names into live :class:`BrelOptions`.
-
-        The options are constructed with the *effective* strategy (so
-        every validation — including strategy-specific combinations —
-        runs against what will actually explore), then the
-        ``strategy``/``mode`` fields are restored verbatim.  Routing the
-        deprecated alias around ``BrelOptions.__post_init__`` keeps its
-        DeprecationWarning from re-firing on every solve of a request
-        that already warned at construction.
-        """
-        options = BrelOptions(
+        """Resolve the registry names into live :class:`BrelOptions`."""
+        return BrelOptions(
             cost_function=cost_registry.get(self.cost),
             minimizer=minimizer_registry.get(self.minimizer),
-            strategy=self.exploration_strategy(),
+            strategy=self.strategy,
             max_explored=self.max_explored,
             fifo_capacity=self.fifo_capacity,
             quick_on_subrelations=self.quick_on_subrelations,
@@ -333,15 +294,8 @@ class SolveRequest:
             record_trace=self.record_trace,
             memo=self.memo,
             decompose=self.decompose,
-            backend=self.backend,
-            table_width=self.table_width,
-            route_subproblems=self.route_subproblems,
-            table_kernel=self.table_kernel,
             portfolio_racers=self.portfolio_racers,
             portfolio_executor=self.portfolio_executor)
-        options.strategy = self.strategy
-        options.mode = self.mode
-        return options
 
     @classmethod
     def from_options(cls, options: BrelOptions,
@@ -365,7 +319,7 @@ class SolveRequest:
                              % getattr(options.minimizer, "__name__",
                                        options.minimizer))
         return cls(relation=relation, cost=cost, minimizer=minimizer,
-                   mode=options.mode, strategy=options.strategy,
+                   strategy=options.strategy,
                    max_explored=options.max_explored,
                    fifo_capacity=options.fifo_capacity,
                    quick_on_subrelations=options.quick_on_subrelations,
@@ -375,10 +329,6 @@ class SolveRequest:
                    record_trace=options.record_trace,
                    memo=options.memo,
                    decompose=options.decompose,
-                   backend=options.backend,
-                   table_width=options.table_width,
-                   route_subproblems=options.route_subproblems,
-                   table_kernel=options.table_kernel,
                    portfolio_racers=options.portfolio_racers,
                    portfolio_executor=options.portfolio_executor,
                    label=label)
@@ -396,25 +346,12 @@ class SolveRequest:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SolveRequest":
-        """Build a request from a dict, rejecting unknown keys.
-
-        Pre-strategy-era dicts (no ``strategy`` key — every dict this
-        class now emits has one) always carried
-        ``quick_on_subrelations: true``, the old field default, which
-        the old solver *ignored* under ``mode="dfs"``.  Replaying such
-        a dict must not silently opt the DFS into per-subrelation
-        QuickSolver runs, so the legacy combination maps back to the
-        tri-state default.
-        """
+        """Build a request from a dict, rejecting unknown keys."""
         fields = {f.name for f in dataclasses.fields(cls)}
         unknown = set(data) - fields
         if unknown:
             raise ValueError("unknown SolveRequest fields: %s"
                              % ", ".join(sorted(unknown)))
-        data = dict(data)
-        if ("strategy" not in data and data.get("mode") == "dfs"
-                and data.get("quick_on_subrelations") is True):
-            data["quick_on_subrelations"] = None
         return cls(**data)
 
     def to_json(self, indent: Optional[int] = None) -> str:

@@ -465,38 +465,24 @@ class Session:
     # Solving
     # ------------------------------------------------------------------
     def _options_key(self, request: SolveRequest) -> Tuple[Any, ...]:
-        # The *effective* strategy keys the entry, so mode="dfs" and
-        # strategy="dfs" share a slot; record_trace is keyed because it
-        # changes the report's content (the trace field).  Memoisation
-        # keys by its *effective* decision (the tri-state resolved
-        # against the session toggle), so memo=True and memo=None share
-        # a slot while the session default is on, and flipping
-        # disable_memo()/enable_memo() stops earlier reports (whose
-        # memo_* stats reflect the other setting) from being served.
-        # Every future request field that can alter a report's content
-        # MUST join this tuple — the schema-evolution regression test
+        # Every request field that can alter a report's content MUST
+        # join this tuple — the schema-evolution regression test
         # (tests/api/test_session_memo.py::TestCacheKeySchemaGuard)
         # enumerates the dataclass fields to catch omissions.
-        # Decomposition keys by its *effective* decision too: None
-        # (auto) and True shard identically, so they share a slot,
-        # while False reports lack the partition breakdown and must
-        # not be served to sharded requests (or vice versa).  The
-        # block executor is deliberately NOT keyed: sharded results
-        # are byte-identical across serial/thread/process dispatch.
-        # The backend IS keyed (conservatively, by resolved value):
-        # routed solves are logically identical but their reports'
-        # engine stats (node/cache counters) describe a different
-        # kernel, so backends get separate slots rather than serving
-        # one backend's counters as the other's.  route_subproblems and
-        # table_kernel are keyed raw (not resolved) for the same
-        # reason: answers are byte-identical either way, but the
-        # routing counters in the cached report's stats describe the
-        # requested configuration.
-        # The portfolio racer line-up keys by its *resolved* canonical
-        # JSON — None and an explicitly spelled-out default line-up
-        # share a slot — while portfolio_executor, like the block
-        # executor, is an execution detail (results are cost-identical
-        # across serial/thread/process racing) and is NOT keyed.
+        # record_trace is keyed because it changes the report's content
+        # (the trace field).  Tri-states key by their *effective*
+        # decision: memo resolves against the session toggle, so
+        # memo=True and memo=None share a slot while the session
+        # default is on, and flipping disable_memo()/enable_memo()
+        # stops earlier reports (whose memo_* stats reflect the other
+        # setting) from being served; decompose=None (auto) and True
+        # shard identically, while False reports lack the partition
+        # breakdown.  The portfolio racer line-up keys by its
+        # *resolved* canonical JSON, so None and an explicitly
+        # spelled-out default line-up share a slot.  Execution details
+        # that never change a result are NOT keyed: the block executor
+        # and portfolio_executor (serial/thread/process give identical
+        # answers).
         if request.exploration_strategy() == "portfolio":
             from ..core.portfolio import racers_cache_key
             racers = racers_cache_key(request.portfolio_racers)
@@ -508,10 +494,7 @@ class Session:
                 request.quick_on_subrelations, request.symmetry_pruning,
                 request.symmetry_max_depth, request.time_limit_seconds,
                 request.record_trace, self._memo_for(request) is not None,
-                request.decompose is not False,
-                request.backend or "bdd", request.table_width,
-                request.route_subproblems, request.table_kernel,
-                racers)
+                request.decompose is not False, racers)
 
     def _cache_key(self, pla: str, request: SolveRequest
                    ) -> Tuple[Any, ...]:
@@ -774,8 +757,8 @@ class Session:
                                                    block_executor,
                                                    block_workers, cancel)
         if report is None:
-            # Hand any partition computed above to the solver's router
-            # so the support/separability analysis is never paid twice.
+            # Hand any partition computed above to the solver so the
+            # support/separability analysis is never paid twice.
             result = BrelSolver(request.to_options(),
                                 memo=self._memo_for(request)).solve(
                 resolved, cancel=cancel, observer=observer,
@@ -834,7 +817,7 @@ class Session:
         base_request = request.to_dict()
         base_request["relation"] = None
         # Blocks are connected components: they cannot shard further,
-        # but pin the router off so workers skip the re-analysis.
+        # but pin decomposition off so workers skip the re-analysis.
         base_request["decompose"] = False
         payloads = []
         for block in partition.blocks:

@@ -1594,18 +1594,3 @@ class BddManager:
             # Low branch first (matches the recursive enumeration order).
             stack.append((hi, index + 1, acc | (1 << position[var])))
             stack.append((lo, index + 1, acc))
-
-    # ------------------------------------------------------------------
-    # Two-level synthesis
-    # ------------------------------------------------------------------
-
-    def isop(self, lower: int,
-             upper: int) -> Tuple[List[Dict[int, bool]], int]:
-        """Irredundant SOP cover of a function in ``[lower, upper]``.
-
-        Part of the :class:`~repro.bdd.backend.FunctionBackend`
-        protocol; delegates to the Minato-Morreale implementation in
-        :mod:`repro.bdd.isop`.
-        """
-        from .isop import isop as _isop
-        return _isop(self, lower, upper)

@@ -55,11 +55,11 @@ def _request_from_args(args: argparse.Namespace,
     # --strategy portfolio be spelled out too.  An explicitly typed
     # conflicting strategy still fails eager validation.
     strategy = args.strategy
-    if strategy is None and (
-            getattr(args, "racers", None) is not None
-            or getattr(args, "portfolio_executor", None) is not None):
-        strategy = "portfolio"
-    kwargs: Dict[str, Any] = dict(
+    if strategy is None:
+        racing = (getattr(args, "racers", None) is not None
+                  or getattr(args, "portfolio_executor", None) is not None)
+        strategy = "portfolio" if racing else "bfs"
+    return SolveRequest(
         relation=relation_spec,
         cost=args.cost,
         minimizer=args.minimizer,
@@ -72,23 +72,10 @@ def _request_from_args(args: argparse.Namespace,
         record_trace=args.trace,
         memo=args.memo,
         decompose=args.decompose,
-        backend=args.backend,
-        table_width=args.table_width,
-        # Routing knobs, like the portfolio ones below, exist only on
-        # the solve verb; getattr keeps the shared builder usable from
-        # parsers without them.
-        route_subproblems=getattr(args, "route_subproblems", None),
-        table_kernel=getattr(args, "table_kernel", None),
         # Portfolio knobs exist only on the solve verb; getattr keeps
         # the shared builder usable from parsers without them.
         portfolio_racers=getattr(args, "racers", None),
         portfolio_executor=getattr(args, "portfolio_executor", None))
-    # The deprecated alias travels only when the user actually typed
-    # --mode; otherwise the request keeps its own default and the
-    # deprecation path is never exercised by default invocations.
-    if args.mode is not None:
-        kwargs["mode"] = args.mode
-    return SolveRequest(**kwargs)
 
 
 def _progress_printer(stream):
@@ -126,12 +113,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
           % (request.exploration_strategy(), report.cost,
              report.stats["relations_explored"],
              report.stats["splits"], report.stats["runtime_seconds"]))
-    if report.stats.get("subproblems_routed"):
-        print("# routing: %d subproblems served by the table kernel "
-              "(%d conversions, %d template hits)"
-              % (report.stats["subproblems_routed"],
-                 report.stats["route_conversions"],
-                 report.stats["route_hits"]))
     if report.partition:
         print("# partition: %d independent blocks" %
               report.partition["num_blocks"])
@@ -309,8 +290,6 @@ def _cmd_resynth(args: argparse.Namespace) -> int:
             max_explored=args.max_explored,
             memo=args.memo,
             decompose=args.decompose,
-            backend=args.backend,
-            table_width=args.table_width,
             executor=args.executor,
             workers=args.workers,
             verify=args.verify,
@@ -383,11 +362,9 @@ def build_parser() -> argparse.ArgumentParser:
                        default="isop")
     solve.add_argument("--strategy", choices=strategy_names(),
                        default=None,
-                       help="exploration strategy (default: bfs; "
-                            "overrides --mode)")
-    solve.add_argument("--mode", choices=["bfs", "dfs"], default=None,
-                       help="deprecated alias of --strategy (only "
-                            "forwarded when given explicitly)")
+                       help="exploration strategy (default: bfs, or "
+                            "portfolio when --racers or "
+                            "--portfolio-executor is given)")
     solve.add_argument("--max-explored", type=int, default=10)
     solve.add_argument("--fifo-capacity", type=int, default=64,
                        help="frontier bound for bfs (FIFO) and beam "
@@ -438,37 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="where decomposed blocks run: in-solver "
                             "(serial) or on a worker pool (results "
                             "are byte-identical either way)")
-    solve.add_argument("--backend", choices=["bdd", "table", "auto"],
-                       default=None,
-                       help="function engine: bdd (default), auto "
-                            "(route narrow subproblems to the "
-                            "bit-parallel truth-table kernel), or "
-                            "table (force it; errors on wide "
-                            "relations); results are identical")
-    solve.add_argument("--table-width", type=int, default=None,
-                       help="variable-frame width threshold for the "
-                            "table backend (default 12; max 16, or 20 "
-                            "with --table-kernel numpy/auto)")
-    solve.add_argument("--table-kernel", choices=["int", "numpy", "auto"],
-                       default=None,
-                       help="raw-table kernel: int (stdlib bignums), "
-                            "numpy (uint64 word arrays; needs the "
-                            "accel extra), or auto (numpy above the "
-                            "crossover width when available); default "
-                            "honours REPRO_TABLE_KERNEL, then auto")
-    route_group = solve.add_mutually_exclusive_group()
-    route_group.add_argument("--route-subproblems",
-                             dest="route_subproblems",
-                             action="store_true", default=None,
-                             help="serve narrow sub-ISF minimisations "
-                                  "from the table kernel inside the "
-                                  "recursion (results are byte-"
-                                  "identical; default: on when "
-                                  "--backend auto)")
-    route_group.add_argument("--no-route-subproblems",
-                             dest="route_subproblems",
-                             action="store_false",
-                             help="never route subproblems in-recursion")
     solve.add_argument("--json", action="store_true",
                        help="emit the structured SolveReport as JSON")
     solve.set_defaults(func=_cmd_solve)
@@ -531,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     resynth.add_argument("--minimizer", choices=minimizer_names(),
                          default="isop")
     resynth.add_argument("--strategy", choices=strategy_names(),
-                         default=None)
+                         default="bfs")
     resynth.add_argument("--max-explored", type=int, default=10)
     resynth.add_argument("--memo", dest="memo", action="store_true",
                          default=None)
@@ -541,9 +487,6 @@ def build_parser() -> argparse.ArgumentParser:
                          action="store_true", default=None)
     resynth.add_argument("--no-decompose", dest="decompose",
                          action="store_false")
-    resynth.add_argument("--backend", choices=["bdd", "table", "auto"],
-                         default=None)
-    resynth.add_argument("--table-width", type=int, default=None)
     resynth.add_argument("--executor",
                          choices=["serial", "thread", "process"],
                          default="serial",

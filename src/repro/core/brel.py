@@ -42,14 +42,11 @@ and :meth:`BrelSolver.iter_solve` yields every strictly improving
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import (Any, Dict, Generator, Iterable, List, Optional,
                     Tuple)
 
 from ..bdd.manager import FALSE
-from ..table import (DEFAULT_TABLE_WIDTH, KERNEL_CHOICES,
-                     MAX_NUMPY_TABLE_WIDTH, MAX_TABLE_WIDTH)
 from .cost import CostFunction, bdd_size_cost
 from .explore import (CancelToken, Improvement, Observer, SearchNode,
                       SolveEvent, get_strategy_factory, make_strategy)
@@ -61,7 +58,6 @@ from .partition import (Partition, merge_block_stats, partition_relation,
                         worst_stopped)
 from .quick import quick_solve
 from .relation import BooleanRelation
-from .route import BACKEND_CHOICES, SubproblemRouter, route_decision
 from .solution import Solution, SolverStats
 from .split import select_split_from_conflicts
 from .symmetry import SymmetryCache
@@ -81,11 +77,7 @@ class BrelOptions:
         Name of the exploration strategy
         (:data:`repro.core.explore.STRATEGIES`): ``"bfs"``, ``"dfs"``,
         ``"best-first"``, ``"beam"``, or any name registered through
-        :func:`repro.api.register_strategy`.  ``None`` falls back to
-        the deprecated ``mode`` alias.
-    mode:
-        Deprecated alias of ``strategy`` kept for pre-strategy callers;
-        ``strategy`` wins when both are set.
+        :func:`repro.api.register_strategy`.
     max_explored:
         Maximum number of subrelations dequeued/visited; ``None`` means
         unbounded.  Table 2 uses 10, Table 3 uses 200.
@@ -140,43 +132,6 @@ class BrelOptions:
         decompose (a single support component, or outputs coupled
         through the relation) route to the monolithic loop unchanged,
         whatever the tri-state.
-    backend:
-        Function-engine selection (:mod:`repro.core.route`).  ``None``
-        (the default) and ``"bdd"`` keep everything on the ROBDD engine
-        — byte-identical to the pre-backend solver.  ``"auto"`` routes
-        each (sub)relation whose variable frame fits within
-        ``table_width`` variables to the bit-parallel
-        :class:`~repro.table.TableManager`; with block decomposition
-        on, narrow blocks of a wide relation route individually.
-        ``"table"`` forces the table engine and raises ``ValueError``
-        on relations too wide for it.  Routing is transparent: logical
-        results, covers and costs match the BDD engine.
-    table_width:
-        Width threshold (total frame variables) for ``backend="auto"``
-        and hard ceiling for ``backend="table"``; ``None`` uses the
-        default of :data:`repro.table.DEFAULT_TABLE_WIDTH` (12).  The
-        hard maximum is :data:`repro.table.MAX_TABLE_WIDTH` (16),
-        lifted to :data:`repro.table.MAX_NUMPY_TABLE_WIDTH` (20) when
-        ``table_kernel`` explicitly allows numpy (``"numpy"``/
-        ``"auto"``).
-    route_subproblems:
-        In-recursion routing tri-state (:class:`~repro.core.route.
-        SubproblemRouter`).  ``True`` serves ISF minimisations whose
-        support has narrowed to ``table_width`` variables or fewer
-        from a table-kernel conversion (memoised by subproblem
-        signature, bounded by a per-solve conversion budget) inside
-        the recursive evaluation/quick-solve pipeline — byte-identical
-        results, table-kernel speed on the narrow tail of the
-        recursion.  ``False`` never routes subproblems.  ``None`` (the
-        default, *auto*) enables it exactly when ``backend="auto"`` —
-        the configuration that already asked for opportunistic table
-        acceleration.
-    table_kernel:
-        Raw-table kernel for every :class:`~repro.table.TableManager`
-        this solve creates (entry routing and subproblem routing):
-        ``"int"``, ``"numpy"``, ``"auto"``, or ``None`` to honour
-        ``REPRO_TABLE_KERNEL`` and default to auto.  numpy is optional;
-        only an explicit ``"numpy"`` fails without it.
     portfolio_racers:
         Racer line-up for ``strategy="portfolio"``
         (:mod:`repro.core.portfolio`): ``None`` races one of each
@@ -194,8 +149,7 @@ class BrelOptions:
 
     cost_function: CostFunction = bdd_size_cost
     minimizer: IsfMinimizer = minimize_isop
-    mode: str = "bfs"
-    strategy: Optional[str] = None
+    strategy: str = "bfs"
     max_explored: Optional[int] = 10
     fifo_capacity: Optional[int] = 64
     quick_on_subrelations: Optional[bool] = None
@@ -205,27 +159,14 @@ class BrelOptions:
     record_trace: bool = False
     memo: Optional[bool] = None
     decompose: Optional[bool] = None
-    backend: Optional[str] = None
-    table_width: Optional[int] = None
-    route_subproblems: Optional[bool] = None
-    table_kernel: Optional[str] = None
     portfolio_racers: Any = None
     portfolio_executor: Optional[str] = None
 
     def exploration_strategy(self) -> str:
-        """The effective strategy name (``strategy`` wins over ``mode``)."""
-        return self.strategy if self.strategy is not None else self.mode
+        """The exploration strategy name."""
+        return self.strategy
 
     def __post_init__(self) -> None:
-        if self.mode != "bfs":
-            # One warning per construction.  Note the default value
-            # never warns: there is no way to tell an explicit
-            # mode="bfs" from an untouched field, and the default is
-            # exactly what strategy=None falls back to anyway.
-            warnings.warn(
-                "the 'mode' option is a deprecated alias; pass "
-                "strategy=%r instead" % self.mode,
-                DeprecationWarning, stacklevel=3)
         if not (self.memo is None or isinstance(self.memo, bool)):
             # Strict identity matters downstream (`options.memo is
             # False`), so 0/1 must not sneak past an equality check.
@@ -234,7 +175,7 @@ class BrelOptions:
                              "supplied)")
         if not (self.decompose is None
                 or isinstance(self.decompose, bool)):
-            # Same identity discipline as memo: the router tests
+            # Same identity discipline as memo: iter_events tests
             # `options.decompose is not False`.
             raise ValueError("decompose must be True, False or None "
                              "(None = auto: shard when the partition "
@@ -257,35 +198,6 @@ class BrelOptions:
         if self.symmetry_max_depth < 0:
             raise ValueError("symmetry_max_depth must be non-negative "
                              "(0 disables the symmetry cache entirely)")
-        if self.backend not in BACKEND_CHOICES:
-            raise ValueError(
-                "backend must be one of %r (None = BDD engine only)"
-                % (BACKEND_CHOICES,))
-        if not (self.route_subproblems is None
-                or isinstance(self.route_subproblems, bool)):
-            # Same identity discipline as memo/decompose: the solver
-            # tests `options.route_subproblems is not None`.
-            raise ValueError("route_subproblems must be True, False or "
-                             "None (None = auto: route subproblems "
-                             "when backend='auto')")
-        if self.table_kernel not in KERNEL_CHOICES:
-            raise ValueError(
-                "table_kernel must be one of %r (None = honour "
-                "REPRO_TABLE_KERNEL, then auto)" % (KERNEL_CHOICES,))
-        # The width ceiling follows the *declared* kernel, never the
-        # environment: table_width=17 must fail identically on every
-        # machine unless the options explicitly allow the numpy kernel.
-        width_cap = (MAX_NUMPY_TABLE_WIDTH
-                     if self.table_kernel in ("numpy", "auto")
-                     else MAX_TABLE_WIDTH)
-        if self.table_width is not None and not (
-                isinstance(self.table_width, int)
-                and 1 <= self.table_width <= width_cap):
-            raise ValueError(
-                "table_width must be an int in 1..%d or None "
-                "(None = the default width of %d; widths beyond %d "
-                "need table_kernel='numpy' or 'auto')"
-                % (width_cap, DEFAULT_TABLE_WIDTH, MAX_TABLE_WIDTH))
         # Option combinations a shipped strategy cannot honour must
         # fail here, where batch manifests are loaded, not mid-solve.
         # Checked directly rather than by constructing the strategy:
@@ -461,24 +373,6 @@ class BrelSolver:
         if partition is not None and partition.relation is not relation:
             raise ValueError("the supplied partition describes a "
                              "different relation")
-        if partition is None:
-            # Backend routing (repro.core.route): a narrow relation
-            # moves to the table engine wholesale; a wide one stays
-            # here, and with decomposition on, each narrow *block*
-            # re-enters this method through its own sub-solver and
-            # routes individually.  A caller-supplied partition pins
-            # this exact relation object, so routing is skipped.
-            routed, route_detail = route_decision(
-                relation, options.backend, options.table_width,
-                options.table_kernel)
-            if route_detail is not None:
-                # Make the (previously silent) decision visible — in
-                # particular "auto" falling back to the BDD engine.
-                yield SolveEvent("route", detail=route_detail)
-            if routed is not None:
-                result = yield from self._iter_events_routed(routed,
-                                                             cancel)
-                return result
         if options.decompose is not False and len(relation.outputs) >= 2:
             if partition is None:
                 partition = partition_relation(relation)
@@ -499,69 +393,14 @@ class BrelSolver:
         return result
 
     # ------------------------------------------------------------------
-    def _iter_events_routed(self, routed, cancel: Optional[CancelToken]
-                            ) -> Generator[SolveEvent, None, BrelResult]:
-        """Drive a solve on the routed (table-backed) relation.
-
-        Re-enters :meth:`iter_events` with the converted relation —
-        decomposition, memoisation and the strategy loop all run on the
-        table engine — then translates every live ``Solution`` (events,
-        improvements, final result) back to the parent manager.  Costs
-        are carried over verbatim: they were measured through the same
-        protocol operations the BDD engine implements.
-        """
-        convert = routed.solution_converter()
-        events = self.iter_events(routed.relation, cancel=cancel)
-        while True:
-            try:
-                event = next(events)
-            except StopIteration as stop:
-                result = stop.value
-                break
-            if event.solution is not None:
-                event = replace(event, solution=convert(event.solution))
-            yield event
-        result.solution = convert(result.solution)
-        result.improvements = [
-            Improvement(convert(improvement.solution), improvement.cost,
-                        improvement.elapsed_seconds, improvement.explored)
-            for improvement in result.improvements]
-        if result.events is not None:
-            result.events = [
-                replace(event, solution=convert(event.solution))
-                if event.solution is not None else event
-                for event in result.events]
-        return result
-
-    # ------------------------------------------------------------------
     def _block_options(self, time_limit: Optional[float]) -> BrelOptions:
         """Per-block options: same knobs, no further decomposition.
 
-        Built field by field (not ``dataclasses.replace``) so the
-        deprecated ``mode`` alias cannot re-fire its warning, and with
-        ``record_trace`` off — block events are re-stamped into the
+        ``record_trace`` is off — block events are re-stamped into the
         sharded solve's own trace.
         """
-        options = self.options
-        return BrelOptions(
-            cost_function=options.cost_function,
-            minimizer=options.minimizer,
-            strategy=options.exploration_strategy(),
-            max_explored=options.max_explored,
-            fifo_capacity=options.fifo_capacity,
-            quick_on_subrelations=options.quick_on_subrelations,
-            symmetry_pruning=options.symmetry_pruning,
-            symmetry_max_depth=options.symmetry_max_depth,
-            time_limit_seconds=time_limit,
-            record_trace=False,
-            memo=None,
-            decompose=False,
-            backend=options.backend,
-            table_width=options.table_width,
-            route_subproblems=options.route_subproblems,
-            table_kernel=options.table_kernel,
-            portfolio_racers=options.portfolio_racers,
-            portfolio_executor=options.portfolio_executor)
+        return replace(self.options, time_limit_seconds=time_limit,
+                       record_trace=False, memo=None, decompose=False)
 
     def _iter_events_sharded(self, partition: Partition,
                              cancel: Optional[CancelToken]
@@ -733,22 +572,10 @@ class BrelSolver:
             [] if options.record_trace else None
         improvements: List[Improvement] = []
 
-        # In-recursion routing (repro.core.route.SubproblemRouter):
-        # narrow ISF minimisations inside this loop are served from the
-        # table kernel.  Auto (None) switches it on exactly when
-        # backend="auto" asked for opportunistic table acceleration.
-        route_on = (options.route_subproblems
-                    if options.route_subproblems is not None
-                    else options.backend == "auto")
-        router = (SubproblemRouter(stats, options.table_width,
-                                   options.table_kernel)
-                  if route_on else None)
-        route = router.minimize if router is not None else None
-
         # Initial solution: QuickSolver guarantees one compatible function
         # exists before any pruning can truncate the search (§7.2).
         best = quick_solve(relation, options.minimizer,
-                           options.cost_function, memo=memo, route=route)
+                           options.cost_function, memo=memo)
         stats.quick_solutions += 1
 
         def event(kind: str, **kw: object) -> SolveEvent:
@@ -780,13 +607,6 @@ class BrelSolver:
                                  if options.quick_on_subrelations
                                  is not None
                                  else strategy.quick_by_default)
-
-        if router is not None:
-            yield event("route", detail=(
-                "subproblem routing on: width=%d kernel=%s budget=%s"
-                % (router.width, router.kernel or "auto",
-                   router.conversion_budget)))
-        route_exhaustion_reported = False
 
         yield event("quick-solution", cost=best.cost, depth=0)
         improvements.append(Improvement(best, best.cost,
@@ -846,8 +666,7 @@ class BrelSolver:
             # QuickSolver into a hill climber.
             if quick_on_subrelations and depth > 0:
                 quick = quick_solve(current, options.minimizer,
-                                    options.cost_function, memo=memo,
-                                    route=route)
+                                    options.cost_function, memo=memo)
                 stats.quick_solutions += 1
                 yield event("quick-solution", cost=quick.cost, depth=depth)
                 if quick.cost < best.cost:
@@ -855,14 +674,7 @@ class BrelSolver:
                     stats.compatible_found += 1
                     yield from improved_events(best, depth)
 
-            candidate, conflicts = self._evaluate(current, stats, route)
-            if (router is not None and router.exhausted
-                    and not route_exhaustion_reported):
-                route_exhaustion_reported = True
-                yield event("route", depth=depth, detail=(
-                    "conversion budget exhausted after %d conversions; "
-                    "remaining subproblems stay on the BDD engine"
-                    % stats.route_conversions))
+            candidate, conflicts = self._evaluate(current, stats)
             if candidate.cost >= min(best.cost, external_bound):
                 stats.cost_prunes += 1
                 yield event("prune",
@@ -911,8 +723,8 @@ class BrelSolver:
                           events=trace, stopped=stopped)
 
     # ------------------------------------------------------------------
-    def _evaluate(self, relation: BooleanRelation, stats: SolverStats,
-                  route=None) -> Tuple[Solution, int]:
+    def _evaluate(self, relation: BooleanRelation, stats: SolverStats
+                  ) -> Tuple[Solution, int]:
         """Minimise the covering MISF; return the candidate and conflicts.
 
         The whole evaluation — projection of every output, per-output
@@ -946,14 +758,13 @@ class BrelSolver:
                         conflicts
         if memo is not None and name is not None:
             minimized = [minimize_with_cover(component, options.minimizer,
-                                             memo, name, route=route)
+                                             memo, name)
                          for component in relation.misf()]
             functions = tuple(node for node, _ in minimized)
         else:
             minimized = None
             functions = tuple(solve_misf(relation.misf(),
-                                         options.minimizer,
-                                         route=route))
+                                         options.minimizer))
         stats.misf_minimizations += 1
         cost = options.cost_function(relation.mgr, functions)
         conflicts = relation.conflict_inputs(functions)

@@ -16,22 +16,19 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from ..bdd.backend import FunctionBackend
 from ..bdd.isop import isop
+from ..bdd.manager import BddManager
 
-#: The cost-function signature used throughout the solver.  Costs are
-#: measured through the backend protocol, so a candidate prices the
-#: same whichever engine (BDD or truth table) produced it — ``size``
-#: always means reduced-BDD node count.
-CostFunction = Callable[[FunctionBackend, Sequence[int]], float]
+#: The cost-function signature used throughout the solver.
+CostFunction = Callable[[BddManager, Sequence[int]], float]
 
 
-def bdd_size_cost(mgr: FunctionBackend, functions: Sequence[int]) -> float:
+def bdd_size_cost(mgr: BddManager, functions: Sequence[int]) -> float:
     """Sum of per-output BDD sizes — the paper's area-oriented cost."""
     return float(sum(mgr.size(func) for func in functions))
 
 
-def bdd_size_squared_cost(mgr: FunctionBackend, functions: Sequence[int]) -> float:
+def bdd_size_squared_cost(mgr: BddManager, functions: Sequence[int]) -> float:
     """Sum of squared BDD sizes — the paper's delay-oriented cost.
 
     Squaring penalises a lopsided split of complexity across the outputs,
@@ -41,12 +38,12 @@ def bdd_size_squared_cost(mgr: FunctionBackend, functions: Sequence[int]) -> flo
     return float(sum(mgr.size(func) ** 2 for func in functions))
 
 
-def shared_bdd_size_cost(mgr: FunctionBackend, functions: Sequence[int]) -> float:
+def shared_bdd_size_cost(mgr: BddManager, functions: Sequence[int]) -> float:
     """DAG size of the whole vector, counting shared nodes once."""
     return float(mgr.shared_size(list(functions)))
 
 
-def cube_count_cost(mgr: FunctionBackend, functions: Sequence[int]) -> float:
+def cube_count_cost(mgr: BddManager, functions: Sequence[int]) -> float:
     """Number of ISOP product terms summed over the outputs.
 
     This is the objective of the exact minimiser of Brayton/Somenzi [6]
@@ -59,7 +56,7 @@ def cube_count_cost(mgr: FunctionBackend, functions: Sequence[int]) -> float:
     return float(total)
 
 
-def literal_count_cost(mgr: FunctionBackend, functions: Sequence[int]) -> float:
+def literal_count_cost(mgr: BddManager, functions: Sequence[int]) -> float:
     """Number of ISOP literals summed over the outputs (gyocro tie-break)."""
     total = 0
     for func in functions:
@@ -76,7 +73,7 @@ def weighted_cost(size_weight: float = 1.0, cube_weight: float = 0.0,
     highlights as a differentiator over Herb/gyocro.
     """
 
-    def cost(mgr: FunctionBackend, functions: Sequence[int]) -> float:
+    def cost(mgr: BddManager, functions: Sequence[int]) -> float:
         value = 0.0
         if size_weight:
             value += size_weight * bdd_size_cost(mgr, functions)

@@ -11,8 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from ..bdd.backend import FunctionBackend
-from ..bdd.manager import FALSE, TRUE
+from ..bdd.manager import FALSE, TRUE, BddManager
 from .memo import Signature
 
 
@@ -32,7 +31,7 @@ class Isf:
         need the full input space, e.g. for support reduction).
     """
 
-    mgr: FunctionBackend
+    mgr: BddManager
     on: int
     dc: int
     inputs: Tuple[int, ...]
@@ -113,7 +112,7 @@ class Isf:
         return Isf(self.mgr, lower, self.mgr.diff(upper, lower), self.inputs)
 
     @staticmethod
-    def from_interval(mgr: FunctionBackend, lower: int, upper: int,
+    def from_interval(mgr: BddManager, lower: int, upper: int,
                       inputs: Sequence[int]) -> "Isf":
         """Construct from the interval ``[lower, upper]``."""
         if not mgr.implies(lower, upper):
@@ -131,7 +130,7 @@ class Misf:
         if len(managers) != 1:
             raise ValueError("MISF components must share one manager")
         self.components: List[Isf] = list(components)
-        self.mgr: FunctionBackend = components[0].mgr
+        self.mgr: BddManager = components[0].mgr
 
     def __len__(self) -> int:
         return len(self.components)

@@ -40,8 +40,7 @@ from typing import (Any, Dict, Iterable, List, NamedTuple, Optional,
                     Sequence, Tuple)
 
 from ..bdd.isop import isop
-from ..bdd.backend import FunctionBackend
-from ..bdd.manager import FALSE, TRUE
+from ..bdd.manager import FALSE, TRUE, BddManager
 
 #: Default entry bound of a :class:`MemoStore`.
 DEFAULT_MEMO_CAPACITY = 4096
@@ -81,7 +80,7 @@ class Signature(NamedTuple):
 # ----------------------------------------------------------------------
 # Solution templates
 # ----------------------------------------------------------------------
-def cover_template(mgr: FunctionBackend, node: int,
+def cover_template(mgr: BddManager, node: int,
                    rank_of_var: Dict[int, int]) -> CoverTemplate:
     """Render one function as an ISOP cover over support ranks.
 
@@ -116,7 +115,7 @@ def var_cover_from_template(cover: CoverTemplate,
                  for cube in cover)
 
 
-def solution_template(mgr: FunctionBackend, functions: Sequence[int],
+def solution_template(mgr: BddManager, functions: Sequence[int],
                       support: Sequence[int]) -> SolutionTemplate:
     """Render a solved function vector as per-output rank covers."""
     rank_of_var = {var: rank for rank, var in enumerate(support)}
@@ -124,7 +123,7 @@ def solution_template(mgr: FunctionBackend, functions: Sequence[int],
                  for func in functions)
 
 
-def instantiate_cover(mgr: FunctionBackend, cover: CoverTemplate,
+def instantiate_cover(mgr: BddManager, cover: CoverTemplate,
                       support: Sequence[int]) -> int:
     """Rebuild one rank cover as a BDD node over ``support`` variables.
 
@@ -136,7 +135,7 @@ def instantiate_cover(mgr: FunctionBackend, cover: CoverTemplate,
                                  var_cover_from_template(cover, support))
 
 
-def instantiate_var_cover(mgr: FunctionBackend, cover: VarCover) -> int:
+def instantiate_var_cover(mgr: BddManager, cover: VarCover) -> int:
     """Disjoin a variable-level cover into ``mgr``.
 
     Cubes are stored sorted by level, so conjoining right-to-left keeps
@@ -155,7 +154,7 @@ def instantiate_var_cover(mgr: FunctionBackend, cover: VarCover) -> int:
     return node
 
 
-def instantiate_solution(mgr: FunctionBackend, covers: SolutionTemplate,
+def instantiate_solution(mgr: BddManager, covers: SolutionTemplate,
                          support: Sequence[int]) -> Tuple[int, ...]:
     """Rebuild a per-output template into ``mgr``; one node per output."""
     return tuple(instantiate_cover(mgr, cover, support)

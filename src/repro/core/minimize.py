@@ -62,10 +62,7 @@ def _isop_pipeline(isf: Isf, eliminate: bool):
     """
     if eliminate:
         isf = eliminate_nonessential_variables(isf)
-    # Dispatch through the backend protocol: BddManager.isop runs the
-    # shared expansion, TableManager.isop replays it on raw tables
-    # (identical covers, no per-node interning).
-    return isf.mgr.isop(isf.on, isf.upper)
+    return isop(isf.mgr, isf.on, isf.upper)
 
 
 def minimize_isop(isf: Isf, eliminate: bool = True) -> int:
@@ -193,46 +190,30 @@ def _run_with_cover(isf: Isf, minimizer: IsfMinimizer,
 
 
 def minimize_with_cover(isf: Isf, minimizer: IsfMinimizer,
-                        memo: Optional[MemoStore],
-                        minimizer_name: str,
-                        route=None) -> Tuple[int, VarCover]:
+                        memo: MemoStore,
+                        minimizer_name: str) -> Tuple[int, VarCover]:
     """Memoised minimisation returning ``(node, variable-level cover)``.
 
     The cover lets callers assemble whole-solution templates (one cover
     per output, renumbered to the *relation's* support) without
-    re-extracting anything.  ``route`` is an optional in-recursion
-    router hook (``SubproblemRouter.minimize``-shaped): consulted on
-    memo misses, it may serve the minimisation from the table kernel —
-    byte-identical by the same transparency argument as a memo hit —
-    and its result is stored in the memo exactly like a fresh run, so
-    templates minted on the table kernel replay in BDD-only solves.
-    ``memo=None`` skips memoisation (routing still applies).
+    re-extracting anything.
     """
     sig = isf.signature()
     key = ("isf", sig.key, minimizer_name)
-    template = memo.get(key) if memo is not None else None
+    template = memo.get(key)
     if template is not None:
         cover = var_cover_from_template(template, sig.support)
         return instantiate_var_cover(isf.mgr, cover), cover
-    if route is not None:
-        served = route(isf, minimizer, minimizer_name)
-    else:
-        served = None
-    if served is None:
-        node, cover = _run_with_cover(isf, minimizer, minimizer_name)
-    else:
-        node, cover = served
-    if memo is not None:
-        rank_of_var = sig.rank_map()
-        memo.put_if_mappable(
-            key, lambda: template_from_var_cover(cover, rank_of_var))
+    node, cover = _run_with_cover(isf, minimizer, minimizer_name)
+    rank_of_var = sig.rank_map()
+    memo.put_if_mappable(
+        key, lambda: template_from_var_cover(cover, rank_of_var))
     return node, cover
 
 
 def minimize_memoised(isf: Isf, minimizer: IsfMinimizer,
                       memo: Optional[MemoStore],
-                      minimizer_name: Optional[str] = None,
-                      route=None) -> int:
+                      minimizer_name: Optional[str] = None) -> int:
     """Minimise one ISF through the shared memo store.
 
     A hit re-instantiates the stored rank cover over the ISF's own
@@ -240,34 +221,29 @@ def minimize_memoised(isf: Isf, minimizer: IsfMinimizer,
     minimiser; a miss runs the minimiser and stores its result.
     ``minimizer_name`` lets hot loops pre-resolve
     :func:`minimizer_memo_key`; unnamed (custom) minimisers bypass the
-    store entirely.  ``route`` is the in-recursion router hook of
-    :func:`minimize_with_cover` (only structural minimisers reach it).
+    store entirely.
     """
-    if memo is None and route is None:
+    if memo is None:
         return minimizer(isf)
     if minimizer_name is None:
         minimizer_name = minimizer_memo_key(minimizer)
         if minimizer_name is None:
             return minimizer(isf)
-    return minimize_with_cover(isf, minimizer, memo, minimizer_name,
-                               route=route)[0]
+    return minimize_with_cover(isf, minimizer, memo, minimizer_name)[0]
 
 
 def solve_misf(misf, minimizer: IsfMinimizer = minimize_isop, *,
-               memo: Optional[MemoStore] = None, route=None) -> List[int]:
+               memo: Optional[MemoStore] = None) -> List[int]:
     """Minimise every component of an MISF independently (paper §5.3).
 
     ``memo`` threads each component minimisation through a shared
     :class:`~repro.core.memo.MemoStore` so identical (up to renaming)
-    ISFs across subrelations, solves and sessions are minimised once;
-    ``route`` additionally lets narrow components be computed on the
-    table kernel (see :func:`minimize_with_cover`).
+    ISFs across subrelations, solves and sessions are minimised once.
     """
-    if memo is None and route is None:
+    if memo is None:
         return [minimizer(component) for component in misf]
     name = minimizer_memo_key(minimizer)
     if name is None:
         return [minimizer(component) for component in misf]
-    return [minimize_with_cover(component, minimizer, memo, name,
-                                route=route)[0]
+    return [minimize_with_cover(component, minimizer, memo, name)[0]
             for component in misf]

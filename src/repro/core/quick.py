@@ -32,8 +32,7 @@ def quick_solve(relation: BooleanRelation,
                 minimizer: IsfMinimizer = minimize_isop,
                 cost_function: CostFunction = bdd_size_cost,
                 output_order: Optional[Sequence[int]] = None,
-                memo: Optional[MemoStore] = None,
-                route=None) -> Solution:
+                memo: Optional[MemoStore] = None) -> Solution:
     """Solve a well-defined BR with the sequential heuristic of Fig. 4.
 
     Parameters
@@ -49,11 +48,6 @@ def quick_solve(relation: BooleanRelation,
         entirely — are answered from the stored solution template
         instead of re-projecting and re-minimising every output; the
         reconstruction is byte-identical to a fresh run.
-    route:
-        Optional in-recursion router hook
-        (:meth:`~repro.core.route.SubproblemRouter.minimize`); narrow
-        per-output minimisations are then served from the table kernel
-        with byte-identical results.
 
     Returns a :class:`Solution` that is always compatible with the
     relation (the projection of a well-defined relation is a valid ISF
@@ -69,9 +63,8 @@ def quick_solve(relation: BooleanRelation,
     minimizer_name = None
     sig = None
     key = None
-    if memo is not None or route is not None:
-        minimizer_name = minimizer_memo_key(minimizer)
     if memo is not None:
+        minimizer_name = minimizer_memo_key(minimizer)
         if minimizer_name is not None:
             sig = relation.signature()
         if sig is not None:
@@ -89,7 +82,7 @@ def quick_solve(relation: BooleanRelation,
                 return Solution(relation.mgr, functions,
                                 cost_function(relation.mgr, functions))
 
-    memoising = minimizer_name is not None
+    memoising = memo is not None and minimizer_name is not None
     current = relation
     chosen: List[Optional[int]] = [None] * len(relation.outputs)
     covers: List[Optional[VarCover]] = [None] * len(relation.outputs)
@@ -97,8 +90,7 @@ def quick_solve(relation: BooleanRelation,
         isf = current.project(position)
         if memoising:
             function, cover = minimize_with_cover(isf, minimizer, memo,
-                                                  minimizer_name,
-                                                  route=route)
+                                                  minimizer_name)
             covers[position] = cover
         else:
             function = minimizer(isf)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
-from ..bdd.backend import FunctionBackend
 from ..bdd.manager import FALSE, TRUE, BddManager
 from .isf import Isf, Misf
 from .memo import Signature
@@ -40,7 +39,7 @@ class BooleanRelation:
 
     __slots__ = ("mgr", "inputs", "outputs", "node", "_sig")
 
-    def __init__(self, mgr: FunctionBackend, inputs: Sequence[int],
+    def __init__(self, mgr: BddManager, inputs: Sequence[int],
                  outputs: Sequence[int], node: int) -> None:
         self.mgr = mgr
         self.inputs: Tuple[int, ...] = tuple(inputs)
@@ -56,7 +55,7 @@ class BooleanRelation:
     @staticmethod
     def from_output_sets(rows: Sequence[Iterable[int]],
                          num_inputs: int, num_outputs: int,
-                         mgr: Optional[FunctionBackend] = None
+                         mgr: Optional[BddManager] = None
                          ) -> "BooleanRelation":
         """Build a relation from a truth-table-like row list.
 
@@ -89,7 +88,7 @@ class BooleanRelation:
         return BooleanRelation(mgr, input_vars, output_vars, node)
 
     @staticmethod
-    def from_functions(mgr: FunctionBackend, inputs: Sequence[int],
+    def from_functions(mgr: BddManager, inputs: Sequence[int],
                        outputs: Sequence[int],
                        functions: Sequence[int]) -> "BooleanRelation":
         """The functional relation ``∧_i (y_i ⇔ f_i(X))``."""
@@ -101,7 +100,7 @@ class BooleanRelation:
         return BooleanRelation(mgr, inputs, outputs, node)
 
     @staticmethod
-    def universe(mgr: FunctionBackend, inputs: Sequence[int],
+    def universe(mgr: BddManager, inputs: Sequence[int],
                  outputs: Sequence[int]) -> "BooleanRelation":
         """The top of the semilattice: ``B^n × B^m`` (Theorem 5.1)."""
         return BooleanRelation(mgr, inputs, outputs, TRUE)

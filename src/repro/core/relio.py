@@ -92,7 +92,10 @@ def parse_relation(text: str,
         else:
             parts = line.split()
             if len(parts) != 2:
-                raise RelationFormatError("malformed row %r" % line)
+                if len(parts) != 1 or num_inputs != 0:
+                    raise RelationFormatError("malformed row %r" % line)
+                # Zero-input rows are just the output part.
+                parts = ["", parts[0]]
             rows.append((parts[0], parts[1]))
     if num_inputs is None or num_outputs is None:
         raise RelationFormatError("missing .i / .o header")

@@ -98,13 +98,6 @@ class SolverStats:
     memo_hits: int = 0
     memo_misses: int = 0
     memo_stores: int = 0
-    # In-recursion routing counters (all zero when subproblem routing
-    # was off): minimisations served by the table kernel, fresh
-    # ISF-to-table conversions, and conversions avoided because the
-    # router had already minted the template for that signature.
-    subproblems_routed: int = 0
-    route_conversions: int = 0
-    route_hits: int = 0
 
     def as_dict(self) -> Dict[str, float]:
         """Plain-dict view for table printing."""
@@ -125,7 +118,4 @@ class SolverStats:
             "memo_hits": self.memo_hits,
             "memo_misses": self.memo_misses,
             "memo_stores": self.memo_stores,
-            "subproblems_routed": self.subproblems_routed,
-            "route_conversions": self.route_conversions,
-            "route_hits": self.route_hits,
         }

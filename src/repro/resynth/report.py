@@ -8,7 +8,9 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional
 
 #: Bumped when the report schema changes shape.
-RESYNTH_SCHEMA_VERSION = 1
+#: 2: the echoed ``request`` lost its two engine-selection knobs, and
+#: its ``strategy`` defaults to ``"bfs"`` instead of ``None``.
+RESYNTH_SCHEMA_VERSION = 2
 
 
 @dataclass

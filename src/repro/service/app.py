@@ -47,10 +47,10 @@ from typing import Any, Deque, Dict, Generator, Iterator, List, Optional, Tuple
 from ..api.events import event_to_jsonable
 from ..api.request import (SolveRequest, merge_manifest_jobs,
                            relation_spec_to_jsonable)
-from ..api.report import SolveReport
+from ..api.report import REPORT_SCHEMA_VERSION, SolveReport
 from ..api.session import DEFAULT_MEMO_EXPORT_LIMIT, Session
 from ..core.explore import CancelToken
-from ..resynth.report import ResynthReport
+from ..resynth.report import RESYNTH_SCHEMA_VERSION, ResynthReport
 from ..resynth.request import ResynthRequest
 from .diskcache import DiskCache, fingerprint_payload
 
@@ -131,13 +131,6 @@ class SolveService:
         #: still names its winner).
         self.portfolio_races = 0
         self.portfolio_wins: Dict[str, int] = {}
-        #: Subproblem-routing attribution across served requests
-        #: (cache-served reports count — their stats still describe
-        #: the solve that produced them).
-        self.routing_totals = {"solves_with_routing": 0,
-                               "subproblems_routed": 0,
-                               "route_conversions": 0,
-                               "route_hits": 0}
         if self.disk is not None:
             entries = self.disk.load_memo_entries()
             if entries:
@@ -234,7 +227,6 @@ class SolveService:
                     "races": self.portfolio_races,
                     "wins": dict(self.portfolio_wins),
                 },
-                "routing": dict(self.routing_totals),
                 "recent": list(self._recent),
             }
 
@@ -367,7 +359,13 @@ class SolveService:
     @staticmethod
     def _resynth_from_wire(stored: Dict[str, Any]
                            ) -> Optional[ResynthReport]:
-        """Rebuild a disk-tier resynth report; skew degrades to a miss."""
+        """Rebuild a disk-tier resynth report; skew degrades to a miss.
+
+        A report written under another schema version is a miss even
+        when its fields still parse: its content follows the old rules.
+        """
+        if stored.get("schema_version") != RESYNTH_SCHEMA_VERSION:
+            return None
         try:
             report = ResynthReport.from_dict(stored)
         except (ValueError, TypeError):
@@ -377,7 +375,13 @@ class SolveService:
     def _report_from_wire(self, stored: Dict[str, Any],
                           request: SolveRequest
                           ) -> Optional[SolveReport]:
-        """Rebuild a disk-tier report; version skew degrades to a miss."""
+        """Rebuild a disk-tier report; version skew degrades to a miss.
+
+        A report written under another schema version is a miss even
+        when its fields still parse: its content follows the old rules.
+        """
+        if stored.get("schema_version") != REPORT_SCHEMA_VERSION:
+            return None
         try:
             report = SolveReport.from_dict(stored)
         except (ValueError, TypeError):
@@ -631,18 +635,8 @@ class SolveService:
             "cost": report.cost,
             "memo_hits": int(report.stats.get("memo_hits", 0)),
             "memo_misses": int(report.stats.get("memo_misses", 0)),
-            "subproblems_routed": int(
-                report.stats.get("subproblems_routed", 0)),
             "runtime_seconds": report.stats.get("runtime_seconds", 0.0),
         }
-        if row["subproblems_routed"]:
-            totals = self.routing_totals
-            totals["solves_with_routing"] += 1
-            totals["subproblems_routed"] += row["subproblems_routed"]
-            totals["route_conversions"] += int(
-                report.stats.get("route_conversions", 0))
-            totals["route_hits"] += int(
-                report.stats.get("route_hits", 0))
         if report.portfolio is not None:
             winner = report.portfolio.get("winner")
             row["portfolio_winner"] = winner

@@ -79,6 +79,29 @@ class TestSessionSolveSharded:
             serial.partition["num_blocks"]
         assert "executor" not in pooled.partition
 
+    #: (block shapes, seed); the first two partition into a block with
+    #: no inputs at all (its outputs ignore every input), which pool
+    #: dispatch ships as a zero-input PLA snapshot.
+    POOLED_CASES = [([(1, 1), (1, 1)], 1), ([(1, 2), (2, 1)], 7),
+                    ([(2, 2), (3, 1)], 4), ([(3, 2), (2, 2)], 9)]
+
+    @pytest.mark.parametrize("executor", ("thread", "process"))
+    @pytest.mark.parametrize("shapes,seed", POOLED_CASES)
+    def test_pooled_blocks_match_serial_on_assorted_shapes(self, shapes,
+                                                           seed, executor):
+        session = Session()
+        relation = block_structured_relation(shapes, seed=seed)
+        session.add_relation("shaped", relation)
+        request = SolveRequest(relation="shaped", max_explored=50)
+        serial = session.solve(request)
+        session.clear_cache()
+        pooled = session.solve(request, block_executor=executor)
+        assert pooled.ok and pooled.partition is not None
+        assert pooled.cost == serial.cost
+        assert pooled.sop == serial.sop
+        assert pooled.solution.functions == serial.solution.functions
+        assert relation.is_compatible(pooled.solution.functions)
+
     def test_pooled_solve_is_cached_and_shared_with_serial(self, session):
         first = session.solve(BLOCK_REQUEST, block_executor="thread")
         hits_before = session.cache_hits

@@ -3,8 +3,6 @@ cache-key schema-evolution regression guard."""
 
 import dataclasses
 
-import pytest
-
 from repro.api import MemoStore, Session, SolveRequest
 
 ROWS = [[0b01], [0b01], [0b00, 0b11], [0b10, 0b11]]
@@ -134,15 +132,6 @@ class TestCacheKeySchemaGuard:
         # None (auto) and True shard identically and share a slot; the
         # keyed pair is the effective on/off boundary.
         "decompose": (None, False),
-        # Routed solves are logically identical but their reports carry
-        # a different kernel's engine stats; None and "bdd" share the
-        # no-routing slot.
-        "backend": (None, "auto"),
-        "table_width": (None, 8),
-        # Routing changes wall-clock only, but the report's routing
-        # counters describe the requested configuration; keyed raw.
-        "route_subproblems": (None, True),
-        "table_kernel": (None, "int"),
         # Keyed by the *resolved* racer line-up (None and the explicit
         # default line-up share a slot); legal only under
         # strategy="portfolio", hence the BASE_OVERRIDES entry.
@@ -154,10 +143,10 @@ class TestCacheKeySchemaGuard:
     }
     #: Fields that deliberately do not key the cache: the relation keys
     #: separately (identity/snapshot/spec), the label only decorates the
-    #: report copy, mode folds into the effective strategy, and the
-    #: portfolio executor — like the block executor — is an execution
-    #: detail that cannot change the winning cost.
-    EXEMPT_FIELDS = {"relation", "label", "mode", "portfolio_executor"}
+    #: report copy, and the portfolio executor — like the block
+    #: executor — is an execution detail that cannot change the winning
+    #: cost.
+    EXEMPT_FIELDS = {"relation", "label", "portfolio_executor"}
 
     def test_every_field_is_classified(self):
         fields = {f.name for f in dataclasses.fields(SolveRequest)}
@@ -192,14 +181,6 @@ class TestCacheKeySchemaGuard:
         # Same options do cross-serve — the cache still works.
         again = session.solve(spec_request(memo=True))
         assert again.cached is True and session.cache_hits == 1
-
-    def test_mode_alias_still_shares_a_slot_with_strategy(self):
-        session = make_session()
-        with pytest.warns(DeprecationWarning):
-            via_mode = SolveRequest(relation="fig1", mode="dfs")
-        via_strategy = SolveRequest(relation="fig1", strategy="dfs")
-        assert session._options_key(via_mode) \
-            == session._options_key(via_strategy)
 
 
 class TestBatchMemo:

@@ -1,15 +1,14 @@
-"""Randomized differential suite: engines vs brute-force truth.
+"""Randomized differential suite: the BDD engine vs brute-force truth.
 
 Every operation of the rewritten explicit-stack engine — apply
 (and/or/xor/diff), ite, cofactor and the quantifiers — is checked against
 direct truth-table evaluation over *all* assignments, on seeded random
-relations from :mod:`repro.benchdata.brgen` with up to 6+6 variables.
-
-The same seeded cases also drive the bit-parallel table kernel
-(:class:`repro.table.TableManager`) and the width router: every
-operation is compared **three ways** (BDD engine vs table kernel vs
-brute force), and full solver runs must agree bit-for-bit across
-``backend=None`` / ``"table"`` / ``"auto"``.
+relations from :mod:`repro.benchdata.brgen` with up to 6+6 variables,
+and so are the structural view (level/low/high, support, size,
+fingerprints), composition, cubes, counting, ISOP covers and garbage
+collection.
+The same seeded cases drive full solver runs, whose answers are checked
+against the relation by brute force.
 """
 
 from __future__ import annotations
@@ -18,9 +17,10 @@ import random
 
 import pytest
 
+from repro.bdd import BddManager
+from repro.bdd.isop import isop
 from repro.benchdata.brgen import random_relation
-from repro.core import BrelOptions, BrelSolver, relation_to_table
-from repro.table import TableManager
+from repro.core import BrelOptions, BrelSolver
 
 #: (num_inputs, num_outputs, seed) per differential round.
 CASES = [
@@ -153,105 +153,292 @@ def test_cofactors_match_truth_tables(num_inputs, num_outputs, seed, mode):
             assert truth_table(mgr, restricted, variables) == expected
 
 
-# ---------------------------------------------------------------------------
-# Table kernel: three-way differential (BDD vs table vs brute force)
-# ---------------------------------------------------------------------------
-
-def table_pool(relation, routed):
-    """Matched (bdd_node, table_node) pairs for the routed relation."""
-    tm = routed.relation.mgr
-    pairs = [(relation.node, routed.relation.node)]
-    for position in range(min(3, len(relation.outputs))):
-        bdd_isf = relation.project(position)
-        table_isf = routed.relation.project(position)
-        pairs.append((bdd_isf.on, table_isf.on))
-        pairs.append((bdd_isf.upper, table_isf.upper))
-    return pairs
+def brute_cofactor(table, position, value, num_vars):
+    """Truth table of the cofactor fixing bit ``position`` to ``value``."""
+    result = 0
+    for i in range(1 << num_vars):
+        k = (i | (1 << position)) if value else (i & ~(1 << position))
+        if (table >> k) & 1:
+            result |= 1 << i
+    return result
 
 
-@pytest.mark.parametrize("num_inputs,num_outputs,seed", CASES)
-def test_table_kernel_three_way(num_inputs, num_outputs, seed):
-    """Each op on the table kernel == the BDD engine == brute force."""
+def brute_substitute(table, replacements, num_vars):
+    """Simultaneous substitution: ``replacements`` maps bit -> table."""
+    result = 0
+    for i in range(1 << num_vars):
+        k = i
+        for position, sub in replacements.items():
+            k = (k & ~(1 << position)) | (((sub >> i) & 1) << position)
+        if (table >> k) & 1:
+            result |= 1 << i
+    return result
+
+
+def msb_string(mgr, node, order):
+    """Truth table as a string with ``order[0]`` as the most significant
+    bit, so every cofactor over a prefix of ``order`` is a substring."""
+    n = len(order)
+    bits = []
+    for i in range(1 << n):
+        assignment = {var: bool((i >> (n - 1 - k)) & 1)
+                      for k, var in enumerate(order)}
+        bits.append("1" if mgr.eval(node, assignment) else "0")
+    return "".join(bits)
+
+
+def brute_nodes(strings):
+    """Internal nodes of the reduced ordered BDD of each string, by depth.
+
+    A node labelled with the ``p``-th variable is exactly a distinct
+    depth-``p`` substring whose two halves differ.
+    """
+    nodes = set()
+    for s in strings:
+        width = len(s)
+        depth = 0
+        while width > 1:
+            half = width // 2
+            for start in range(0, len(s), width):
+                piece = s[start:start + width]
+                if piece[:half] != piece[half:]:
+                    nodes.add((depth, piece))
+            width = half
+            depth += 1
+    return nodes
+
+
+@pytest.mark.parametrize("num_inputs,num_outputs,seed,mode", case_params())
+def test_structural_view_is_shannon_expansion(num_inputs, num_outputs, seed,
+                                              mode):
     relation = random_relation(num_inputs, num_outputs, seed=seed)
     mgr = relation.mgr
-    routed = relation_to_table(relation,
-                               table_width=num_inputs + num_outputs)
-    tm = routed.relation.mgr
+    set_engine_mode(mgr, mode)
     variables = list(relation.inputs) + list(relation.outputs)
     n = len(variables)
-    full = (1 << (1 << n)) - 1
-    pairs = table_pool(relation, routed)
-    # Node-for-node: the table kernel's raw mask must equal the truth
-    # table the BDD engine evaluates to (frame order == var order).
-    for bdd_node, table_node in pairs:
-        assert tm.table(table_node) == truth_table(mgr, bdd_node, variables)
-    rng = random.Random(1000 + seed)
-    for _ in range(8):
-        (f_b, f_t), (g_b, g_t), (h_b, h_t) = (rng.choice(pairs)
-                                              for _ in range(3))
-        tf, tg = tm.table(f_t), tm.table(g_t)
-        for name, t_res, b_res, brute in (
-                ("and", tm.and_(f_t, g_t), mgr.and_(f_b, g_b), tf & tg),
-                ("or", tm.or_(f_t, g_t), mgr.or_(f_b, g_b), tf | tg),
-                ("xor", tm.xor_(f_t, g_t), mgr.xor_(f_b, g_b), tf ^ tg),
-                ("diff", tm.diff(f_t, g_t), mgr.diff(f_b, g_b),
-                 tf & (full ^ tg)),
-                ("not", tm.not_(f_t), mgr.not_(f_b), full ^ tf),
-                ("ite", tm.ite(f_t, g_t, h_t), mgr.ite(f_b, g_b, h_b),
-                 (tf & tg) | ((full ^ tf) & tm.table(h_t)))):
-            assert tm.table(t_res) == brute, name
-            assert tm.table(t_res) == truth_table(mgr, b_res,
-                                                  variables), name
-        assert tm.implies(f_t, g_t) == mgr.implies(f_b, g_b) \
-            == (tf & ~tg == 0)
-        # Structural/semantic accessors agree across backends.
-        assert tm.size(f_t) == mgr.size(f_b)
-        assert tm.sat_count(f_t, range(n)) == mgr.sat_count(f_b, variables)
-        assert tm.fingerprint(f_t) == mgr.fingerprint(f_b)
+    stack = sorted(function_pool(relation))
+    seen = set()
+    while stack and len(seen) < 30:
+        node = stack.pop()
+        if mgr.is_terminal(node) or node in seen:
+            continue
+        seen.add(node)
+        var = mgr.level(node)
+        low, high = mgr.low(node), mgr.high(node)
+        assert low != high, "unreduced node %d" % node
+        assert mgr.level(low) > var and mgr.level(high) > var
+        table = truth_table(mgr, node, variables)
+        j = variables.index(var)
+        assert truth_table(mgr, low, variables) == \
+            brute_cofactor(table, j, False, n)
+        assert truth_table(mgr, high, variables) == \
+            brute_cofactor(table, j, True, n)
+        assert mgr.ite(mgr.var(var), high, low) == node
+        stack.extend((low, high))
+    assert seen
 
 
-@pytest.mark.parametrize("num_inputs,num_outputs,seed", CASES)
-def test_table_quantifiers_and_cofactors_three_way(num_inputs,
-                                                   num_outputs, seed):
+@pytest.mark.parametrize("num_inputs,num_outputs,seed,mode", case_params())
+def test_support_and_size_match_truth_tables(num_inputs, num_outputs, seed,
+                                             mode):
     relation = random_relation(num_inputs, num_outputs, seed=seed)
     mgr = relation.mgr
-    routed = relation_to_table(relation,
-                               table_width=num_inputs + num_outputs)
-    tm = routed.relation.mgr
+    set_engine_mode(mgr, mode)
     variables = list(relation.inputs) + list(relation.outputs)
-    pairs = table_pool(relation, routed)
-    rng = random.Random(2000 + seed)
-    for _ in range(6):
-        f_b, f_t = rng.choice(pairs)
-        rank = rng.randrange(len(variables))
-        var = variables[rank]
-        for value in (False, True):
-            assert tm.table(tm.cofactor(f_t, rank, value)) \
-                == truth_table(mgr, mgr.cofactor(f_b, var, value),
-                               variables)
-        assert tm.table(tm.exists(f_t, [rank])) \
-            == truth_table(mgr, mgr.exists(f_b, [var]), variables)
-        assert tm.table(tm.forall(f_t, [rank])) \
-            == truth_table(mgr, mgr.forall(f_b, [var]), variables)
-        # ISOP covers are cube-for-cube identical modulo the rank
-        # renaming (both delegate to the shared protocol-level isop).
-        rename = {var: rank for rank, var in enumerate(variables)}
-        bdd_cover, _ = mgr.isop(f_b, f_b)
-        table_cover, _ = tm.isop(f_t, f_t)
-        assert [{rename[v]: p for v, p in cube.items()}
-                for cube in bdd_cover] == table_cover
+    order = sorted(variables)
+    n = len(variables)
+    pool = sorted(function_pool(relation))
+    strings = {}
+    for f in pool:
+        table = truth_table(mgr, f, variables)
+        depends = tuple(sorted(
+            var for j, var in enumerate(variables)
+            if brute_cofactor(table, j, False, n)
+            != brute_cofactor(table, j, True, n)))
+        assert mgr.support(f) == depends
+        strings[f] = msb_string(mgr, f, order)
+        assert mgr.size(f) == len(brute_nodes([strings[f]]))
+    assert mgr.shared_size(pool) == len(brute_nodes(strings.values()))
+
+
+@pytest.mark.parametrize("num_inputs,num_outputs,seed,mode", case_params())
+def test_compose_and_permute_match_truth_tables(num_inputs, num_outputs,
+                                                seed, mode):
+    relation = random_relation(num_inputs, num_outputs, seed=seed)
+    mgr = relation.mgr
+    set_engine_mode(mgr, mode)
+    variables = list(relation.inputs) + list(relation.outputs)
+    n = len(variables)
+    pool = sorted(function_pool(relation))
+    tt = {node: truth_table(mgr, node, variables) for node in pool}
+    rng = random.Random(300 + seed)
+    for _ in range(5):
+        f, g, h = (rng.choice(pool) for _ in range(3))
+        a, b = rng.sample(variables, 2)
+        ja, jb = variables.index(a), variables.index(b)
+        assert truth_table(mgr, mgr.compose(f, a, g), variables) == \
+            brute_substitute(tt[f], {ja: tt[g]}, n)
+        assert truth_table(mgr, mgr.vector_compose(f, {a: g, b: h}),
+                           variables) == \
+            brute_substitute(tt[f], {ja: tt[g], jb: tt[h]}, n)
+        swapped = brute_substitute(
+            tt[f], {ja: truth_table(mgr, mgr.var(b), variables),
+                    jb: truth_table(mgr, mgr.var(a), variables)}, n)
+        assert truth_table(mgr, mgr.swap_vars(f, a, b), variables) == \
+            swapped
+
+
+@pytest.mark.parametrize("num_inputs,num_outputs,seed,mode", case_params())
+def test_cubes_and_restrict_match_truth_tables(num_inputs, num_outputs, seed,
+                                               mode):
+    relation = random_relation(num_inputs, num_outputs, seed=seed)
+    mgr = relation.mgr
+    set_engine_mode(mgr, mode)
+    variables = list(relation.inputs) + list(relation.outputs)
+    n = len(variables)
+    pool = sorted(function_pool(relation))
+    rng = random.Random(400 + seed)
+    for _ in range(5):
+        chosen = rng.sample(variables, rng.randint(1, 3))
+        value = rng.randrange(1 << len(chosen))
+        assignment = {var: bool((value >> i) & 1)
+                      for i, var in enumerate(chosen)}
+        expected_cube = 0
+        for i in range(1 << n):
+            if all(bool((i >> variables.index(var)) & 1) == polarity
+                   for var, polarity in assignment.items()):
+                expected_cube |= 1 << i
+        cube = mgr.cube(assignment)
+        assert truth_table(mgr, cube, variables) == expected_cube
+        assert mgr.minterm(chosen, value) == cube
+        f = rng.choice(pool)
+        expected = truth_table(mgr, f, variables)
+        for var, polarity in assignment.items():
+            expected = brute_cofactor(expected, variables.index(var),
+                                      polarity, n)
+        assert truth_table(mgr, mgr.restrict_cube(f, assignment),
+                           variables) == expected
+
+
+@pytest.mark.parametrize("num_inputs,num_outputs,seed,mode", case_params())
+def test_counting_matches_truth_tables(num_inputs, num_outputs, seed, mode):
+    relation = random_relation(num_inputs, num_outputs, seed=seed)
+    mgr = relation.mgr
+    set_engine_mode(mgr, mode)
+    variables = list(relation.inputs) + list(relation.outputs)
+    for f in sorted(function_pool(relation)):
+        table = truth_table(mgr, f, variables)
+        expected = [i for i in range(1 << len(variables))
+                    if (table >> i) & 1]
+        assert mgr.sat_count(f, variables) == len(expected)
+        found = sorted(mgr.minterms(f, variables))
+        assert found == expected
+        # Canonicity: rebuilding from the minterms gives the same handle.
+        assert mgr.from_minterms(variables, found) == f
+
+
+@pytest.mark.parametrize("num_inputs,num_outputs,seed,mode", case_params())
+def test_fingerprints_are_canonical_across_managers(num_inputs, num_outputs,
+                                                    seed, mode):
+    relation = random_relation(num_inputs, num_outputs, seed=seed)
+    mgr = relation.mgr
+    set_engine_mode(mgr, mode)
+    variables = list(relation.inputs) + list(relation.outputs)
+    shift = mgr.num_vars
+    other = BddManager()
+    other.add_vars(2 * shift)
+    set_engine_mode(other, mode)
+    shifted = [var + shift for var in variables]
+    pool = sorted(function_pool(relation))
+    seen = {}
+    for f in pool:
+        found = list(mgr.minterms(f, variables))
+        twin = other.from_minterms(variables, found)
+        assert other.fingerprint(twin) == mgr.fingerprint(f)
+        assert other.size(twin) == mgr.size(f)
+        assert other.support(twin) == mgr.support(f)
+        # An order-preserving shift keeps the support fingerprint only.
+        moved = other.from_minterms(shifted, found)
+        assert other.support_fingerprint(moved) == \
+            mgr.support_fingerprint(f)
+        if mgr.support(f):
+            assert other.fingerprint(moved) != mgr.fingerprint(f)
+        table = truth_table(mgr, f, variables)
+        assert seen.setdefault(mgr.fingerprint(f), table) == table
+    assert mgr.fingerprints(pool) == tuple(mgr.fingerprint(f) for f in pool)
+
+
+@pytest.mark.parametrize("num_inputs,num_outputs,seed,mode", case_params())
+def test_isop_covers_match_truth_tables(num_inputs, num_outputs, seed, mode):
+    relation = random_relation(num_inputs, num_outputs, seed=seed)
+    mgr = relation.mgr
+    set_engine_mode(mgr, mode)
+    variables = list(relation.inputs) + list(relation.outputs)
+    pool = sorted(function_pool(relation))
+    rng = random.Random(500 + seed)
+    intervals = []
+    for position in range(min(3, len(relation.outputs))):
+        isf = relation.project(position)
+        intervals.append((isf.on, isf.upper))
+    for _ in range(3):
+        f, g = rng.choice(pool), rng.choice(pool)
+        intervals.append((mgr.and_(f, g), mgr.or_(f, g)))
+    for lower, upper in intervals:
+        low_tt = truth_table(mgr, lower, variables)
+        up_tt = truth_table(mgr, upper, variables)
+        cover, node = isop(mgr, lower, upper)
+        node_tt = truth_table(mgr, node, variables)
+        assert low_tt & ~node_tt == 0 and node_tt & ~up_tt == 0
+        cube_tts = [truth_table(mgr, mgr.cube(cube), variables)
+                    for cube in cover]
+        union = 0
+        for cube_tt in cube_tts:
+            assert cube_tt & ~up_tt == 0, "cube leaves the upper bound"
+            union |= cube_tt
+        assert union == node_tt
+        for skip in range(len(cube_tts)):
+            rest = 0
+            for index, cube_tt in enumerate(cube_tts):
+                if index != skip:
+                    rest |= cube_tt
+            assert low_tt & ~rest != 0, "redundant cube %d" % skip
+
+
+@pytest.mark.parametrize("num_inputs,num_outputs,seed,mode", case_params())
+def test_collect_keeps_pinned_functions(num_inputs, num_outputs, seed, mode):
+    relation = random_relation(num_inputs, num_outputs, seed=seed)
+    mgr = relation.mgr
+    set_engine_mode(mgr, mode)
+    variables = list(relation.inputs) + list(relation.outputs)
+    pool = sorted(function_pool(relation))
+    before = {f: (truth_table(mgr, f, variables), mgr.fingerprint(f))
+              for f in pool}
+    rng = random.Random(600 + seed)
+    for _ in range(10):  # garbage nobody pins
+        mgr.xor_(rng.choice(pool), mgr.not_(rng.choice(pool)))
+    for f in pool:
+        mgr.pin(f)
+    mapping = mgr.collect()
+    moved = {mapping[f]: before[f] for f in pool}
+    for f, (table, fingerprint) in moved.items():
+        assert mgr.pin_count(f) == 1
+        assert truth_table(mgr, f, variables) == table
+        assert mgr.fingerprint(f) == fingerprint
+    survivors = sorted(moved)
+    for _ in range(5):
+        f, g = rng.choice(survivors), rng.choice(survivors)
+        assert truth_table(mgr, mgr.and_(f, g), variables) == \
+            moved[f][0] & moved[g][0]
+        assert truth_table(mgr, mgr.from_minterms(
+            variables, mgr.minterms(f, variables)), variables) == \
+            moved[f][0]
+    for f in survivors:
+        mgr.unpin(f)
 
 
 # ---------------------------------------------------------------------------
-# Width router: full-solve parity across backends
+# Full solves: every answer stays inside the relation
 # ---------------------------------------------------------------------------
-
-def solution_tables(relation, solution):
-    """Per-output truth tables of a solution, over the relation inputs."""
-    inputs = list(relation.inputs)
-    return [tuple(solution.mgr.minterms(func, inputs))
-            for func in solution.functions]
-
 
 def check_solution_allowed(relation, solution):
     """Brute force: every input's chosen output row is in the relation."""
@@ -268,60 +455,11 @@ def check_solution_allowed(relation, solution):
 
 
 @pytest.mark.parametrize("num_inputs,num_outputs,seed", CASES)
-def test_subproblem_routing_solver_parity(num_inputs, num_outputs, seed):
-    """In-recursion routing on vs off is byte-identical, per kernel.
-
-    Unlike the whole-relation router above, ``route_subproblems``
-    leaves the solve on the BDD engine and serves only narrowed ISF
-    minimisations from the table kernel — the acceptance bar is the
-    same: identical solutions, costs, trajectories and stop reasons.
-    """
-    from repro.table import npkernel
-    relation = random_relation(num_inputs, num_outputs, seed=seed)
-    baseline = BrelSolver(BrelOptions(
-        max_explored=40, route_subproblems=False)).solve(relation)
-    check_solution_allowed(relation, baseline.solution)
-    base_tables = solution_tables(relation, baseline.solution)
-    kernels = ["int"] + (["numpy"] if npkernel.available() else [])
-    for kernel in kernels:
-        result = BrelSolver(BrelOptions(
-            max_explored=40, route_subproblems=True,
-            table_kernel=kernel)).solve(relation)
-        assert result.solution.cost == baseline.solution.cost, kernel
-        assert result.stopped == baseline.stopped, kernel
-        assert solution_tables(relation, result.solution) \
-            == base_tables, kernel
-        assert [imp.cost for imp in result.improvements] \
-            == [imp.cost for imp in baseline.improvements], kernel
-        assert result.stats.relations_explored \
-            == baseline.stats.relations_explored, kernel
-        assert result.stats.subproblems_routed > 0, kernel
-        check_solution_allowed(relation, result.solution)
-
-
-@pytest.mark.parametrize("num_inputs,num_outputs,seed", CASES)
 @pytest.mark.parametrize("strategy", ["bfs", "dfs"])
-def test_router_three_way_solver_parity(num_inputs, num_outputs, seed,
-                                        strategy):
-    """backend=None / "table" / "auto" produce identical results."""
+def test_solver_answers_pass_brute_force(num_inputs, num_outputs, seed,
+                                         strategy):
     relation = random_relation(num_inputs, num_outputs, seed=seed)
-    results = {}
-    for backend in (None, "table", "auto"):
-        options = BrelOptions(strategy=strategy, max_explored=40,
-                              backend=backend,
-                              table_width=num_inputs + num_outputs)
-        results[backend] = BrelSolver(options).solve(relation)
-    baseline = results[None]
-    check_solution_allowed(relation, baseline.solution)
-    base_tables = solution_tables(relation, baseline.solution)
-    for backend in ("table", "auto"):
-        result = results[backend]
-        assert result.solution.cost == baseline.solution.cost, backend
-        assert result.stopped == baseline.stopped, backend
-        assert solution_tables(relation, result.solution) \
-            == base_tables, backend
-        assert [imp.cost for imp in result.improvements] \
-            == [imp.cost for imp in baseline.improvements], backend
-        # Converted solutions live in the *parent* manager.
-        assert result.solution.mgr is relation.mgr, backend
-        check_solution_allowed(relation, result.solution)
+    result = BrelSolver(BrelOptions(strategy=strategy,
+                                    max_explored=40)).solve(relation)
+    assert result.solution.mgr is relation.mgr
+    check_solution_allowed(relation, result.solution)

@@ -1,18 +1,20 @@
-"""MemoStore unit behaviour, signatures, templates, and the satellite
-regressions (cached ``Isf.upper``, once-per-construction ``mode``
-deprecation)."""
+"""MemoStore unit behaviour, signatures, templates, memo transparency
+on full solves, and the satellite regressions (cached ``Isf.upper``,
+``strategy`` default)."""
 
-import warnings
+
+import dataclasses
 
 import pytest
 
 from repro.bdd.manager import FALSE, TRUE, BddManager
-from repro.core import (BooleanRelation, BrelOptions, Isf, MemoStore,
-                        minimize_isop, minimizer_memo_key, quick_solve,
-                        solve_misf)
+from repro.core import (BooleanRelation, BrelOptions, BrelSolver, Isf,
+                        MemoStore, minimize_isop, minimizer_memo_key,
+                        quick_solve, solve_misf)
 from repro.core.memo import (instantiate_cover, instantiate_solution,
                              solution_template, template_from_var_cover,
                              var_cover_from_template)
+from repro.benchdata.brgen import random_relation
 from repro.core.minimize import minimize_restrict
 
 
@@ -256,31 +258,49 @@ class TestMemoOptionValidation:
                 BrelOptions(memo=bad)
 
 
-class TestModeDeprecation:
-    def test_options_mode_warns_exactly_once_per_construction(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            BrelOptions(mode="dfs")
-        deprecations = [w for w in caught
-                        if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        assert "mode" in str(deprecations[0].message)
-
-    def test_default_mode_never_warns(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            BrelOptions()
-            BrelOptions(strategy="dfs")
-        assert not [w for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
-
-    def test_strategy_wins_when_both_given(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            options = BrelOptions(mode="dfs", strategy="bfs")
+class TestStrategyDefault:
+    def test_strategy_defaults_to_bfs(self):
+        options = BrelOptions()
+        assert options.strategy == "bfs"
         assert options.exploration_strategy() == "bfs"
-        assert len([w for w in caught
-                    if issubclass(w.category, DeprecationWarning)]) == 1
+
+    def test_mode_alias_is_gone(self):
+        with pytest.raises(TypeError, match="mode"):
+            BrelOptions(mode="dfs")
+
+
+def solve_fingerprint(result, relation):
+    inputs = list(relation.inputs)
+    return (result.solution.cost,
+            [list(result.solution.mgr.minterms(f, inputs))
+             for f in result.solution.functions],
+            [improvement.cost for improvement in result.improvements],
+            result.stats.relations_explored,
+            result.stats.splits)
+
+
+class TestMemoTransparency:
+    """A memo store is an execution detail: with memo off, a cold store
+    or a store warmed by an earlier solve, the answer is the same."""
+
+    @pytest.mark.parametrize("strategy", ["bfs", "dfs"])
+    @pytest.mark.parametrize("seed", [3, 5, 7, 9, 11])
+    def test_memo_off_cold_and_warm_agree(self, seed, strategy):
+        relation = random_relation(4, 4, seed=seed)
+        options = BrelOptions(strategy=strategy, max_explored=40)
+        off = BrelSolver(dataclasses.replace(options, memo=False),
+                         memo=MemoStore()).solve(relation)
+        assert off.stats.memo_hits == off.stats.memo_misses == 0
+        store = MemoStore()
+        cold = BrelSolver(options, memo=store).solve(relation)
+        assert solve_fingerprint(cold, relation) \
+            == solve_fingerprint(off, relation)
+        assert cold.stats.memo_stores > 0
+        warm = BrelSolver(options, memo=store).solve(relation)
+        assert warm.stats.memo_hits > 0
+        assert solve_fingerprint(warm, relation)[:2] \
+            == solve_fingerprint(off, relation)[:2]
+        assert relation.is_compatible(warm.solution.functions)
 
 
 class TestJsonWireFormat:

@@ -348,12 +348,11 @@ class TestShardedSolver:
 
 
 class TestBlockOptionsSchemaGuard:
-    """`BrelSolver._block_options` rebuilds the per-block options field
-    by field (to keep the deprecated ``mode`` alias from re-warning);
-    a newly added BrelOptions field silently not propagating to block
-    sub-solvers would make sharded solves ignore the new knob.  This
-    guard forces the list to be updated consciously, like the session
-    cache-key guard does for SolveRequest."""
+    """`BrelSolver._block_options` copies the parent options and pins a
+    few per-block values; a newly added BrelOptions field inherits
+    silently, which is wrong for a knob that must not apply per block.
+    This guard forces the list to be updated consciously, like the
+    session cache-key guard does for SolveRequest."""
 
     #: Every BrelOptions field and how _block_options must treat it:
     #: "inherit" = copied from the parent options, otherwise the pinned
@@ -366,19 +365,11 @@ class TestBlockOptionsSchemaGuard:
         "quick_on_subrelations": "inherit",
         "symmetry_pruning": "inherit",
         "symmetry_max_depth": "inherit",
-        "strategy": "effective-strategy",
-        "mode": "default",
+        "strategy": "inherit",
         "time_limit_seconds": "remaining-budget",
         "record_trace": False,
         "memo": None,
         "decompose": False,
-        # Backend routing propagates: narrow blocks of a wide relation
-        # route to the table engine individually via their sub-solvers,
-        # and each block's monolithic loop routes its own subproblems.
-        "backend": "inherit",
-        "table_width": "inherit",
-        "route_subproblems": "inherit",
-        "table_kernel": "inherit",
         # Portfolio knobs propagate so each block races its own
         # portfolio under strategy="portfolio".
         "portfolio_racers": "inherit",
@@ -411,10 +402,6 @@ class TestBlockOptionsSchemaGuard:
             value = getattr(block, name)
             if rule == "inherit":
                 assert value == getattr(parent, name), name
-            elif rule == "effective-strategy":
-                assert value == parent.exploration_strategy()
-            elif rule == "default":
-                assert value == "bfs"
             elif rule == "remaining-budget":
                 assert value == 12.5
             else:

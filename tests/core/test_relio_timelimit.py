@@ -74,6 +74,15 @@ class TestRelationFormat:
         assert [o for _, o in again.rows()] == [o for _, o in
                                                 relation.rows()]
 
+    def test_zero_input_roundtrip(self):
+        # An output block whose support is empty has zero inputs; its
+        # rows are just the output part (regression: pooled block
+        # dispatch snapshots such blocks to PLA text).
+        relation = BooleanRelation.from_output_sets([{0b00, 0b10, 0b11}],
+                                                    0, 2)
+        again = parse_relation(write_relation(relation))
+        assert list(again.rows()) == [(0, {0b00, 0b10, 0b11})]
+
 
 @given(set_relations(num_inputs=2, num_outputs=2))
 @settings(max_examples=40, deadline=None)
@@ -102,7 +111,7 @@ class TestTimeLimit:
     def test_dfs_respects_limit(self):
         rows = [{0b01, 0b10, 0b11}] * 8
         relation = BooleanRelation.from_output_sets(rows, 3, 2)
-        options = BrelOptions(mode="dfs", time_limit_seconds=0.0,
+        options = BrelOptions(strategy="dfs", time_limit_seconds=0.0,
                               max_explored=None, fifo_capacity=None)
         result = BrelSolver(options).solve(relation)
         assert relation.is_compatible(result.solution.functions)

@@ -62,9 +62,9 @@ class TestBrelModes:
         result = solve_exactly(relation)
         assert relation.is_compatible(result.solution.functions)
 
-    def test_invalid_mode_rejected(self):
+    def test_invalid_strategy_rejected(self):
         with pytest.raises(ValueError):
-            BrelOptions(mode="dijkstra")
+            BrelOptions(strategy="dijkstra")
 
     def test_max_explored_limits_work(self):
         rows = [{0, 1, 2, 3}] * 8
@@ -168,7 +168,8 @@ def test_exact_mode_matches_oracle_on_cube_count(reference):
     oracle = exact_solve(relation, cube_count_cost)
     options = BrelOptions(cost_function=cube_count_cost,
                           minimizer=minimize_exact_cubes,
-                          mode="dfs", max_explored=None, fifo_capacity=None)
+                          strategy="dfs", max_explored=None,
+                          fifo_capacity=None)
     result = BrelSolver(options).solve(relation)
     assert result.solution.cost == oracle.cost
 

@@ -34,8 +34,8 @@ PARITY_INSTANCES = ("int1", "int3", "int5", "int6", "she1", "she3",
 # ----------------------------------------------------------------------
 class ReferenceSolver:
     """The solver exactly as it was before the strategy redesign:
-    ``mode="dfs"`` the literal Fig. 6 recursion, ``mode="bfs"`` the
-    bounded-FIFO heuristic with QuickSolver on subrelations."""
+    ``strategy="dfs"`` the literal Fig. 6 recursion, ``strategy="bfs"``
+    the bounded-FIFO heuristic with QuickSolver on subrelations."""
 
     def __init__(self, options):
         self.options = options
@@ -58,7 +58,7 @@ class ReferenceSolver:
         stats.quick_solutions += 1
         symmetry = (SymmetryCache(relation, options.symmetry_max_depth)
                     if options.symmetry_pruning else None)
-        if options.mode == "dfs":
+        if options.strategy == "dfs":
             best = self._solve_dfs(relation, best, stats, symmetry)
         else:
             best = self._solve_bfs(relation, best, stats, symmetry)
@@ -203,11 +203,12 @@ def assert_identical(name, options):
 class TestByteIdenticalParity:
     @pytest.mark.parametrize("name", PARITY_INSTANCES)
     def test_bfs_matches_pre_redesign(self, name):
-        assert_identical(name, BrelOptions(mode="bfs"))
+        assert_identical(name, BrelOptions(strategy="bfs"))
 
     @pytest.mark.parametrize("name", PARITY_INSTANCES)
     def test_bfs_deep_budget_matches_pre_redesign(self, name):
-        assert_identical(name, BrelOptions(mode="bfs", max_explored=60,
+        assert_identical(name, BrelOptions(strategy="bfs",
+                                           max_explored=60,
                                            fifo_capacity=8))
 
     @pytest.mark.parametrize("name", PARITY_INSTANCES)
@@ -216,26 +217,26 @@ class TestByteIdenticalParity:
         # (the knob was BFS-only); under the redesign's tri-state the
         # dfs strategy defaults it off, so *default options* stay
         # byte-identical — no pinning needed.
-        assert_identical(name, BrelOptions(mode="dfs"))
+        assert_identical(name, BrelOptions(strategy="dfs"))
 
     def test_quick_tristate_defaults_follow_strategy(self):
         relation = instance_by_name("she1").build()
         # dfs default == explicit False; explicit True opts in and may
         # find different (never worse) incumbents.
-        default = BrelSolver(BrelOptions(mode="dfs")).solve(relation)
+        default = BrelSolver(BrelOptions(strategy="dfs")).solve(relation)
         pinned_off = BrelSolver(BrelOptions(
-            mode="dfs", quick_on_subrelations=False)).solve(relation)
+            strategy="dfs", quick_on_subrelations=False)).solve(relation)
         assert default.solution.functions == pinned_off.solution.functions
         assert default.stats.quick_solutions == \
             pinned_off.stats.quick_solutions == 1
         opted_in = BrelSolver(BrelOptions(
-            mode="dfs", quick_on_subrelations=True)).solve(relation)
+            strategy="dfs", quick_on_subrelations=True)).solve(relation)
         assert opted_in.stats.quick_solutions > 1
         assert opted_in.solution.cost <= default.solution.cost
         # bfs default == explicit True.
-        bfs_default = BrelSolver(BrelOptions(mode="bfs")).solve(relation)
+        bfs_default = BrelSolver(BrelOptions(strategy="bfs")).solve(relation)
         bfs_on = BrelSolver(BrelOptions(
-            mode="bfs", quick_on_subrelations=True)).solve(relation)
+            strategy="bfs", quick_on_subrelations=True)).solve(relation)
         assert bfs_default.solution.functions == bfs_on.solution.functions
         assert bfs_default.stats.quick_solutions == \
             bfs_on.stats.quick_solutions > 1
@@ -243,16 +244,7 @@ class TestByteIdenticalParity:
     @pytest.mark.parametrize("name", ("int1", "she1", "c17i"))
     def test_bfs_with_symmetries_matches_pre_redesign(self, name):
         assert_identical(name, BrelOptions(
-            mode="bfs", symmetry_pruning=True, max_explored=40))
-
-    def test_strategy_field_equals_mode_alias(self):
-        relation = instance_by_name("int5").build()
-        via_mode = BrelSolver(BrelOptions(mode="dfs")).solve(relation)
-        via_strategy = BrelSolver(
-            BrelOptions(strategy="dfs")).solve(relation)
-        assert via_mode.solution.cost == via_strategy.solution.cost
-        assert via_mode.solution.functions == \
-            via_strategy.solution.functions
+            strategy="bfs", symmetry_pruning=True, max_explored=40))
 
 
 class TestDecomposeAutoLogicalParity:

@@ -7,6 +7,7 @@ import urllib.request
 
 import pytest
 
+from repro.resynth import RESYNTH_SCHEMA_VERSION, ResynthReport
 from repro.service import DiskCache, ServiceError, SolveService, create_server
 from repro.service.asgi import create_app
 
@@ -63,6 +64,22 @@ class TestResynthTiers:
         report, tier = service.resynth(dict(S27))
         assert tier == "engine"
         assert report["ok"] and report["blif"]
+
+    def test_older_schema_entry_is_a_disk_miss(self, cache_dir):
+        worker1 = SolveService(disk=DiskCache(cache_dir))
+        worker1.resynth(dict(S27))
+        key = worker1.resynth_fingerprint(
+            worker1.parse_resynth_request(dict(S27)))
+        stored = worker1.disk.get_report(key)
+        stored["schema_version"] = RESYNTH_SCHEMA_VERSION - 1
+        ResynthReport.from_dict(stored)  # still parses
+        worker1.disk.put_report(key, stored)
+        worker2 = SolveService(disk=DiskCache(cache_dir))
+        report, tier = worker2.resynth(dict(S27))
+        assert tier == "engine" and report["ok"]
+        assert worker2.tier_hits["disk"] == 0
+        assert worker2.disk.get_report(key)["schema_version"] \
+            == RESYNTH_SCHEMA_VERSION
 
     def test_stats_count_resynth_entries(self):
         service = SolveService()

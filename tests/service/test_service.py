@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.api import SolveReport, SolveRequest
+from repro.api import REPORT_SCHEMA_VERSION, SolveReport, SolveRequest
+from repro.resynth import ResynthRequest
 from repro.service import (DiskCache, ServiceError, SolveService,
                            fingerprint_payload)
 
@@ -98,6 +99,29 @@ class TestValidation:
         with pytest.raises(ServiceError):
             service.solve(dict(fig1_request, strategy="bogus"))
         assert service.request_counts["errors"] == 1
+
+    #: The retired ``mode`` alias and truth-table engine knobs, named
+    #: by their former CLI flags, each with a value the old schema
+    #: accepted.  The wire key is the flag name in snake case.
+    REMOVED = {"--mode": "dfs", "--backend": "auto", "--table-width": 8,
+               "--route-subproblems": True, "--table-kernel": "int"}
+
+    @pytest.mark.parametrize("kind", ["solve", "resynth"])
+    @pytest.mark.parametrize("flag", sorted(REMOVED))
+    def test_removed_keys_are_rejected(self, fig1_request, kind, flag):
+        key = flag[2:].replace("-", "_")
+        if kind == "solve":
+            data = dict(fig1_request)
+            parse, serve = SolveRequest.from_dict, SolveService().solve
+        else:
+            data = {"circuit": "s27", "passes": 1}
+            parse, serve = ResynthRequest.from_dict, SolveService().resynth
+        data[key] = self.REMOVED[flag]
+        with pytest.raises(ValueError, match=key):
+            parse(data)
+        with pytest.raises(ServiceError, match=key) as info:
+            serve(data)
+        assert info.value.status == 400
 
 
 class TestStream:
@@ -281,6 +305,30 @@ class TestWireRoundTrip:
         cold = SolveService(disk=DiskCache(cache_dir))
         report, tier = cold.solve(dict(fig1_request))
         assert tier == "engine" and report["ok"]
+
+    def test_older_schema_report_is_a_disk_miss(self, fig1_request,
+                                                cache_dir):
+        # A stored report whose fields still parse but whose
+        # schema_version is older follows the old rules: it must be a
+        # disk miss, solved again by the engine and rewritten.
+        service = SolveService(disk=DiskCache(cache_dir))
+        service.solve(dict(fig1_request))
+        request = SolveRequest.from_dict(fig1_request)
+        key = service.request_fingerprint(request)
+        stored = service.disk.get_report(key)
+        stored["schema_version"] = REPORT_SCHEMA_VERSION - 1
+        SolveReport.from_dict(stored)  # still parses
+        service.disk.put_report(key, stored)
+        cold = SolveService(disk=DiskCache(cache_dir))
+        report, tier = cold.solve(dict(fig1_request))
+        assert tier == "engine" and report["ok"]
+        assert report["schema_version"] == REPORT_SCHEMA_VERSION
+        assert cold.tier_hits == {"ram": 0, "disk": 0, "engine": 1}
+        rewritten = cold.disk.get_report(key)
+        assert rewritten["schema_version"] == REPORT_SCHEMA_VERSION
+        _, tier = SolveService(disk=DiskCache(cache_dir)).solve(
+            dict(fig1_request))
+        assert tier == "disk"
 
 
 class TestTimeLimitAdmission:

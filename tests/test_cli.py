@@ -1,7 +1,6 @@
 """Tests for the command-line interface."""
 
 import json
-import warnings
 
 import pytest
 
@@ -46,8 +45,8 @@ class TestSolveCommand:
         for cost in ("size", "size2", "cubes", "literals"):
             assert main(["solve", relation_file, "--cost", cost]) == 0
 
-    def test_solve_dfs_mode(self, relation_file, capsys):
-        assert main(["solve", relation_file, "--mode", "dfs",
+    def test_solve_dfs_strategy(self, relation_file, capsys):
+        assert main(["solve", relation_file, "--strategy", "dfs",
                      "--max-explored", "100"]) == 0
 
     def test_solve_with_symmetries_and_limit(self, relation_file):
@@ -155,20 +154,15 @@ class TestSolveCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["trace"] is None
 
-    def test_solve_default_flags_emit_no_deprecation_warning(
-            self, relation_file, capsys):
-        # The deprecated --mode alias must not travel unless the user
-        # actually typed it; a default invocation builds a request that
-        # never touches the alias path.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            assert main(["solve", relation_file]) == 0
-        report_out = capsys.readouterr().out
-        assert "compatible=True" in report_out
-
-    def test_solve_explicit_mode_still_warns(self, relation_file):
-        with pytest.warns(DeprecationWarning):
-            assert main(["solve", relation_file, "--mode", "dfs"]) == 0
+    @pytest.mark.parametrize("flag", [
+        "--mode", "--backend", "--table-width", "--table-kernel",
+        "--route-subproblems", "--no-route-subproblems"])
+    def test_removed_engine_flags_are_rejected(self, relation_file, flag,
+                                               capsys):
+        with pytest.raises(SystemExit):
+            main(["solve", relation_file, flag, "dfs"])
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err and flag in err
 
     def test_solve_reports_partition_blocks(self, block_relation_file,
                                             capsys):
@@ -396,70 +390,6 @@ class TestServeCommand:
             server.shutdown()
             server.server_close()
 
-
-class TestBackendFlags:
-    def test_solve_with_table_backend(self, relation_file, capsys):
-        assert main(["solve", relation_file, "--backend", "table",
-                     "--table-width", "8", "--json"]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["ok"] is True
-        assert report["request"]["backend"] == "table"
-        assert report["request"]["table_width"] == 8
-
-    def test_solve_backend_parity(self, relation_file, capsys):
-        costs = {}
-        for backend in ("bdd", "table", "auto"):
-            assert main(["solve", relation_file, "--backend", backend,
-                         "--json"]) == 0
-            report = json.loads(capsys.readouterr().out)
-            costs[backend] = (report["cost"], report["sop"])
-        assert costs["bdd"] == costs["table"] == costs["auto"]
-
-    def test_bad_backend_rejected_by_parser(self, relation_file):
-        with pytest.raises(SystemExit):
-            main(["solve", relation_file, "--backend", "cudd"])
-
-    def test_routing_flags_reach_the_request(self, relation_file, capsys):
-        assert main(["solve", relation_file, "--route-subproblems",
-                     "--table-kernel", "int", "--json"]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["request"]["route_subproblems"] is True
-        assert report["request"]["table_kernel"] == "int"
-        assert "subproblems_routed" in report["stats"]
-
-    def test_no_route_subproblems_flag(self, relation_file, capsys):
-        assert main(["solve", relation_file, "--no-route-subproblems",
-                     "--json"]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["request"]["route_subproblems"] is False
-        assert report["stats"]["subproblems_routed"] == 0
-
-    def test_routing_counters_line_in_text_report(self, block_relation_file,
-                                                  capsys):
-        assert main(["solve", block_relation_file,
-                     "--route-subproblems"]) == 0
-        out = capsys.readouterr().out
-        assert "# routing:" in out
-        assert "table kernel" in out
-
-    def test_progress_renders_route_events(self, relation_file, capsys):
-        assert main(["solve", relation_file, "--backend", "auto",
-                     "--progress"]) == 0
-        err = capsys.readouterr().err
-        assert "route" in err
-        assert "backend=" in err
-
-    def test_routing_parity_with_flag_off_and_on(self, block_relation_file,
-                                                 capsys):
-        outputs = {}
-        for flag in ("--route-subproblems", "--no-route-subproblems"):
-            assert main(["solve", block_relation_file, flag,
-                         "--json"]) == 0
-            report = json.loads(capsys.readouterr().out)
-            outputs[flag] = (report["cost"], report["sop"])
-        assert outputs["--route-subproblems"] \
-            == outputs["--no-route-subproblems"]
-
     def test_serve_admission_flags_reach_the_service(self, tmp_path):
         from repro.cli import _service_from_args, build_parser
         args = build_parser().parse_args(
@@ -473,6 +403,13 @@ class TestBackendFlags:
 
 
 class TestResynthCommand:
+    @pytest.mark.parametrize("flag", ["--backend", "--table-width"])
+    def test_removed_engine_flags_are_rejected(self, flag, capsys):
+        with pytest.raises(SystemExit):
+            main(["resynth", "s27", "--quick", flag, "8"])
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err and flag in err
+
     def test_bundled_circuit_by_name(self, capsys):
         assert main(["resynth", "s27", "--quick"]) == 0
         out = capsys.readouterr().out
