@@ -252,8 +252,8 @@ class SolveRequest:
     #: list of names/spec mappings, normalised here to the canonical
     #: spec tuple so equal line-ups compare (and cache) equal.
     portfolio_racers: Any = None
-    #: Racer executor (``"serial"``/``"thread"``/``"process"``; ``None``
-    #: = thread).  An execution detail like the session's block
+    #: Racer executor (``"serial"``/``"process"``; ``None`` = serial).
+    #: An execution detail like the session's block
     #: executor: never part of a cache key.
     portfolio_executor: Optional[str] = None
     label: Optional[str] = None

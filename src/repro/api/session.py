@@ -11,11 +11,11 @@ A :class:`Session` is the stateful front door of the package.  It
   :class:`~repro.api.SolveRequest` can refer to;
 * runs single solves (:meth:`Session.solve`) and batches
   (:meth:`Session.solve_many`) with a shared result cache, the latter
-  optionally process-parallel via :mod:`concurrent.futures`, with
-  per-job failures captured as failed :class:`SolveReport`\\ s rather
-  than raised.
+  serial or process-parallel through :class:`~repro.core.jobs.JobRun`,
+  with per-job failures captured as failed :class:`SolveReport`\\ s
+  rather than raised.
 
-Batch jobs are made *self-contained* before dispatch: the relation is
+Process jobs are made *self-contained* before dispatch: the relation is
 snapshotted to PLA text and the request travels as its dict form, so a
 job needs nothing from the parent process beyond importable code.
 (Custom registry entries reach workers through the default ``fork``
@@ -25,17 +25,17 @@ time of a module the workers import.)
 
 from __future__ import annotations
 
+import functools
 import json
-import os
 import time
-from concurrent.futures import (FIRST_COMPLETED, ProcessPoolExecutor,
-                                ThreadPoolExecutor, wait)
 from typing import (Any, Dict, Generator, Iterable, List, Mapping, Optional,
                     Sequence, Tuple, Union)
 
 from ..bdd.manager import BddManager
 from ..core.brel import BrelResult, BrelSolver
 from ..core.explore import CancelToken, Improvement, Observer
+from ..core.jobs import (MAX_SNAPSHOT_INPUTS, JobContext, JobRun,
+                         check_executor)
 from ..core.memo import DEFAULT_MEMO_CAPACITY, MemoStore
 from ..core.partition import (block_functions_from_pla, merge_block_stats,
                               partition_relation, worst_stopped)
@@ -50,76 +50,41 @@ from .request import (RelationSpec, SolveRequest, build_relation,
 #: What solve()/solve_many() accept as the thing to solve.
 RelationLike = Union[BooleanRelation, RelationSpec]
 
-#: Widest relation (in inputs) solve_many will snapshot to PLA text for
-#: pool executors.  The snapshot enumerates all 2^inputs input vertices,
-#: so past this point the "parallel" path would silently hang.
-DEFAULT_MAX_SNAPSHOT_INPUTS = 16
-
 #: Node count past which a session garbage-collects a manager between
 #: solves (None disables auto-trimming).
 DEFAULT_AUTO_TRIM_NODES = 500_000
 
-#: Most-recent memo entries a batch ships to each worker process; keeps
-#: the initializer payload bounded no matter how full the parent store
-#: is.
-DEFAULT_MEMO_EXPORT_LIMIT = 2048
 
-#: Per-worker-process memo store, installed by :func:`_init_worker_memo`
-#: (the process-pool initializer).  Jobs flagged ``memo_shared`` solve
-#: through it, so the seed entries are pickled once per worker — not
-#: once per job — and every job reuses what earlier jobs in the same
-#: worker learned.  Stays ``None`` in the parent process.
-_worker_memo: Optional[MemoStore] = None
-
-
-def _init_worker_memo(entries: List[Tuple[Any, Any]],
-                      capacity: Optional[int]) -> None:
-    """Process-pool initializer: seed this worker's shared memo store."""
-    global _worker_memo
-    _worker_memo = MemoStore(capacity=capacity, entries=entries)
-
-
-def _solve_payload(payload: Dict[str, Any],
-                   cancel: Optional[CancelToken] = None) -> SolveReport:
-    """Execute one self-contained batch job (runs in worker processes).
+def _solve_job(payload: Dict[str, Any], ctx: JobContext) -> SolveReport:
+    """Solve one batch job or output block (the session's job function).
 
     Never raises: any failure — malformed request, unparsable relation,
     solver error — comes back as a failed report so one bad job cannot
-    poison a batch.  ``cancel`` reaches thread workers (shared memory);
-    process workers cannot share a token and stop only between jobs.
-
-    Memoisation: process jobs set ``payload["memo_shared"]`` and solve
-    through the worker-global store installed by
-    :func:`_init_worker_memo`; thread jobs carry the exported
-    parent-store entries in ``payload["memo"]`` and build a private
-    seeded store (``MemoStore`` is not thread-safe, so thread workers
-    must not share one).  Either way the templates are
-    manager-independent, so they instantiate cleanly into the worker's
-    fresh manager, and the hit/miss counters travel back inside the
-    report's stats for the parent to merge.
+    poison a batch.  A serial job's ``payload["resolve"]`` returns its
+    live relation as the job starts; otherwise the job parses
+    ``payload["pla"]`` into a fresh manager and returns a data-only
+    report, since BDD handles must not cross a process boundary.
+    ``payload["memo"]`` says whether the job uses the executor's memo
+    store (the session's own on serial, a seeded per-worker copy in a
+    process); its hit/miss counters travel back in the report's stats.
     """
     label = payload.get("label")
     request_dict = payload.get("request")
     try:
         request = SolveRequest.from_dict(request_dict)
-        relation = parse_relation(payload["pla"])
-        if payload.get("memo_shared"):
-            memo = _worker_memo
-        else:
-            memo_entries = payload.get("memo")
-            memo = (MemoStore(capacity=payload.get("memo_capacity",
-                                                   DEFAULT_MEMO_CAPACITY),
-                              entries=memo_entries)
-                    if memo_entries is not None else None)
+        resolve = payload.get("resolve")
+        relation = (resolve() if resolve is not None
+                    else parse_relation(payload["pla"]))
         result = BrelSolver(request.to_options(),
-                            memo=memo).solve(relation, cancel=cancel)
+                            memo=ctx.memo if payload.get("memo") else None
+                            ).solve(relation, cancel=ctx.cancel)
         report = SolveReport.from_result(relation, result,
                                          request=request_dict, label=label)
-        # BDD handles must not cross back over the process boundary:
-        # materialise the PLA text while the solution is still live,
-        # then ship the data-only report.
-        report.solution_pla()
-        report.solution = None
+        if resolve is None:
+            # Materialise the PLA text while the solution is live, then
+            # ship the data-only report.
+            report.solution_pla()
+            report.solution = None
         return report
     except Exception as exc:  # noqa: BLE001 — isolation is the contract
         return SolveReport.from_error(exc, request=request_dict,
@@ -141,7 +106,7 @@ class Session:
     """
 
     def __init__(self, max_workers: Optional[int] = None,
-                 max_snapshot_inputs: int = DEFAULT_MAX_SNAPSHOT_INPUTS,
+                 max_snapshot_inputs: int = MAX_SNAPSHOT_INPUTS,
                  auto_trim_nodes: Optional[int] = DEFAULT_AUTO_TRIM_NODES,
                  memo_enabled: bool = True,
                  memo_capacity: Optional[int] = DEFAULT_MEMO_CAPACITY
@@ -706,16 +671,17 @@ class Session:
         when output-block decomposition shards the relation
         (:mod:`repro.core.partition`): ``"serial"`` (default) solves
         them in the fixed partition order inside the solver loop;
-        ``"thread"`` / ``"process"`` ship each block to the same pool
-        machinery :meth:`solve_many` uses (PLA snapshot out, data-only
-        report back) and recombine the per-block solutions in the
-        caller's manager — byte-identical to the serial result, since
-        every block still runs the same deterministic strategy loop.
-        Pool dispatch needs every block snapshotable
+        ``"process"`` ships each block (PLA snapshot out, data-only
+        report back) through the same job runner :meth:`solve_many`
+        uses and recombines the per-block solutions in the caller's
+        manager — byte-identical to the serial result, since every
+        block still runs the same deterministic strategy loop.  Pool
+        dispatch needs every block snapshotable
         (``max_snapshot_inputs``); relations that do not shard, calls
         that need the live event stream (an ``observer`` or
-        ``record_trace`` — workers cannot stream events back), and
-        environments without a working pool layer all fall back to the
+        ``record_trace`` — workers cannot stream events back) or a
+        single cross-block deadline (``time_limit_seconds``), and a
+        cancel that leaves a block unsolved all fall back to the
         in-process solve, which still shards serially in-solver.
         ``block_workers`` caps the pool (default: one worker per
         block, capped at the CPU count).  Parallel-block reports are
@@ -724,9 +690,7 @@ class Session:
         recombined solution itself is live).
         """
         request = request or SolveRequest()
-        if block_executor not in ("serial", "thread", "process"):
-            raise ValueError("block_executor must be 'serial', "
-                             "'thread' or 'process'")
+        check_executor(block_executor, "block_executor")
         resolved, spec, key, from_registry = \
             self._prepare_solve(request, relation)
         cached = self._cache.get(key)
@@ -741,7 +705,7 @@ class Session:
                                           from_registry, request)
         report = None
         partition = None
-        if (block_executor != "serial"
+        if (block_executor == "process"
                 and request.decompose is not False
                 and len(resolved.outputs) >= 2
                 # Pool workers cannot stream events back to the caller
@@ -754,7 +718,6 @@ class Session:
             if not partition.is_trivial:
                 report = self._solve_blocks_pooled(request, resolved,
                                                    partition,
-                                                   block_executor,
                                                    block_workers, cancel)
         if report is None:
             # Hand any partition computed above to the solver so the
@@ -776,22 +739,21 @@ class Session:
     def _solve_blocks_pooled(self, request: SolveRequest,
                              resolved: BooleanRelation,
                              partition,
-                             executor: str,
                              max_workers: Optional[int],
                              cancel: Optional[CancelToken]
                              ) -> Optional[SolveReport]:
-        """Shard one solve across the pool; ``None`` = run in-process.
+        """Shard one solve across worker processes; ``None`` = run
+        in-process.
 
         Ships each block of the (non-trivial) ``partition`` as a
-        self-contained job (PLA snapshot + block request) through the
-        same worker entry point batches use, and recombines the
-        per-block solution PLAs into a live full solution in the
-        caller's manager.  Returns ``None`` when the pool layer is
-        unavailable or the solve was cancelled before the pool
-        finished — the caller then runs the in-process solve, which
-        still shards serially in-solver and honours the token
-        (immediately returning the quick incumbents).  Block failures
-        raise, matching :meth:`solve`'s raise-on-failure contract.
+        self-contained job (PLA snapshot + block request) and
+        recombines the per-block solution PLAs into a live full
+        solution in the caller's manager.  Returns ``None`` when a
+        cancel left a block unsolved — the caller then runs the
+        in-process solve, which still shards serially in-solver and
+        honours the token (immediately returning the quick
+        incumbents).  Block failures, a dead worker included, raise,
+        matching :meth:`solve`'s raise-on-failure contract.
         """
         # The serial path's solver checks left-totality first and lets
         # NotWellDefinedError propagate; raise the same error here
@@ -802,18 +764,15 @@ class Session:
             if len(block.relation.inputs) > self.max_snapshot_inputs:
                 raise ValueError(
                     "block %s of this relation has %d inputs; "
-                    "block_executor=%r snapshots each block to PLA "
-                    "text, which enumerates 2^inputs input vertices "
+                    "block_executor='process' snapshots each block to "
+                    "PLA text, which enumerates 2^inputs input vertices "
                     "and is capped at max_snapshot_inputs=%d — use "
                     "block_executor='serial' (or raise "
                     "Session(max_snapshot_inputs=...)) for wide blocks"
                     % (list(block.positions), len(block.relation.inputs),
-                       executor, self.max_snapshot_inputs))
+                       self.max_snapshot_inputs))
         start = time.perf_counter()
         memo_store = self._memo_for(request)
-        memo_entries = (self.memo.export_entries(
-            limit=DEFAULT_MEMO_EXPORT_LIMIT)
-            if memo_store is not None else None)
         base_request = request.to_dict()
         base_request["relation"] = None
         # Blocks are connected components: they cannot shard further,
@@ -821,25 +780,21 @@ class Session:
         base_request["decompose"] = False
         payloads = []
         for block in partition.blocks:
-            payload = {"pla": write_relation(block.relation),
-                       "request": dict(base_request),
-                       "label": "block-%d" % block.index,
-                       "memo": memo_entries,
-                       "memo_capacity": self.memo.capacity}
-            payload["request"]["label"] = payload["label"]
-            payloads.append(payload)
-
-        reports = self._run_block_jobs(payloads, executor, max_workers,
-                                       cancel)
-        if reports is None:
-            return None  # pool layer unavailable; solve in-process
+            label = "block-%d" % block.index
+            payloads.append({"pla": write_relation(block.relation),
+                             "request": dict(base_request, label=label),
+                             "label": label,
+                             "memo": memo_store is not None})
+        reports = self._solve_jobs(payloads, "process", max_workers,
+                                   cancel)
+        if (cancel is not None and cancel.cancelled
+                and not all(report.ok for report in reports)):
+            return None
         for payload, block_report in zip(payloads, reports):
             if not block_report.ok:
                 raise RuntimeError(
                     "sharded solve failed on %s: %s"
                     % (payload["label"], block_report.error))
-            if memo_store is not None:
-                self._absorb_memo_stats(block_report)
 
         options = request.to_options()
         block_solutions = []
@@ -920,81 +875,6 @@ class Session:
                                 stats.relations_explored)]
         return improvements
 
-    def _run_block_jobs(self, payloads: List[Dict[str, Any]],
-                        executor: str, max_workers: Optional[int],
-                        cancel: Optional[CancelToken]
-                        ) -> Optional[List[SolveReport]]:
-        """Run block payloads on a pool; ``None`` = abandon pooling.
-
-        Thread workers share the cancel token (in-flight block searches
-        stop cooperatively and report best-so-far).  Process workers
-        cannot share a token, so a cancellation observed while waiting
-        cancels the undispatched blocks and abandons the pooled
-        attempt (``None``) — the in-process sharded solve then honours
-        the token directly.  A worker that dies (broken pool, pickling
-        breakage) comes back as a failed report for its block rather
-        than an escaping exception.
-        """
-        if cancel is not None and cancel.cancelled:
-            return None
-        if max_workers is None:
-            max_workers = self.default_max_workers
-        if max_workers is None:
-            max_workers = min(len(payloads), os.cpu_count() or 1)
-        max_workers = max(1, min(max_workers, len(payloads)))
-        if executor == "thread":
-            with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                futures = [pool.submit(_solve_payload, payload, cancel)
-                           for payload in payloads]
-                return [future.result() for future in futures]
-        memo_seed = payloads[0].get("memo")
-        pool_kwargs: Dict[str, Any] = {"max_workers": max_workers}
-        if memo_seed is not None:
-            pool_kwargs["initializer"] = _init_worker_memo
-            pool_kwargs["initargs"] = (memo_seed, self.memo.capacity)
-        process_payloads = []
-        for payload in payloads:
-            stripped = {k: v for k, v in payload.items()
-                        if k not in ("memo", "memo_capacity")}
-            stripped["memo_shared"] = memo_seed is not None
-            process_payloads.append(stripped)
-        try:
-            pool = ProcessPoolExecutor(**pool_kwargs)
-        except OSError:
-            # No working fork/semaphore layer (restricted sandboxes):
-            # signal the caller to run the in-process sharded solve.
-            return None
-        try:
-            futures = [pool.submit(_solve_payload, payload)
-                       for payload in process_payloads]
-            outstanding = set(futures)
-            while outstanding:
-                done, outstanding = wait(
-                    outstanding,
-                    timeout=0.1 if cancel is not None else None,
-                    return_when=FIRST_COMPLETED)
-                if (cancel is not None and cancel.cancelled
-                        and outstanding):
-                    # Abandon without joining: workers cannot see the
-                    # token, so waiting for them would stall the cancel
-                    # for the duration of the longest block.  The
-                    # finally-shutdown cancels queued blocks; running
-                    # ones finish in the background and are discarded.
-                    return None
-            reports = []
-            for payload, future in zip(process_payloads, futures):
-                try:
-                    reports.append(future.result())
-                except Exception as exc:  # pool/pickling breakage
-                    reports.append(SolveReport.from_error(
-                        exc, request=payload["request"],
-                        label=payload["label"]))
-            return reports
-        except OSError:
-            return None
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
-
     def solve_iter(self, request: Optional[SolveRequest] = None,
                    relation: Optional[RelationLike] = None, *,
                    cancel: Optional[CancelToken] = None,
@@ -1064,25 +944,21 @@ class Session:
 
         * Failures (bad relation names, malformed inputs, solver errors)
           are captured in the corresponding report, never raised.
-        * ``cancel`` propagates to workers as each executor allows:
-          serial and thread jobs share the token, so in-flight searches
-          stop cooperatively and report their best-so-far solution
-          (``stopped="cancelled"``); process workers cannot share a
-          token, so cancellation stops dispatch — queued jobs are
-          cancelled and come back as failed ``cancelled before start``
-          reports while already-running workers finish their job.
-        * Identical jobs — same relation (snapshot content for pool
-          executors; object identity for serial jobs naming a session
+        * ``cancel`` reaches every job on either executor: in-flight
+          searches stop cooperatively and report their best-so-far
+          solution (``stopped="cancelled"``), and jobs not yet started
+          come back as failed ``cancelled before start`` reports.
+        * Identical jobs — same relation (snapshot content for the
+          process executor; object identity for serial jobs naming a session
           relation, spec content for self-contained serial specs), same
           options — are solved once *per batch* and the shared report
           fanned back out, with per-job memo attribution kept honest
           (only the job that ran carries the memo deltas).  The session
           cache additionally persists across calls.
         * ``executor`` selects ``"process"`` (default; true parallelism
-          across cores), ``"thread"`` (one PLA snapshot per job — the
-          shared managers are not thread-safe — so reports are data-only
-          like process reports), or ``"serial"`` (in-process).
-        * Pool executors snapshot each relation to PLA text, an
+          across cores, data-only reports) or ``"serial"`` (in-process,
+          no snapshots); see :mod:`repro.core.jobs`.
+        * The process executor snapshots each relation to PLA text, an
           enumeration of all ``2^inputs`` input vertices; relations wider
           than ``max_snapshot_inputs`` raise ``ValueError`` up front
           (use ``executor="serial"`` for those).
@@ -1093,21 +969,18 @@ class Session:
         live ``Solution`` is required.
 
         Memoisation: serial jobs share the session's live
-        :class:`~repro.core.memo.MemoStore` directly; pool jobs are
-        pre-seeded with the parent store's most recent entries
+        :class:`~repro.core.memo.MemoStore` directly; worker processes
+        are seeded once with the parent store's most recent entries
         (templates are manager-independent) and their hit/miss counters
         are merged back into the session's store afterwards.  Entries a
         worker learns stay in the worker — only the counters return.
         """
-        if executor not in ("process", "thread", "serial"):
-            raise ValueError("executor must be 'process', 'thread' "
-                             "or 'serial'")
+        check_executor(executor)
         reports: List[Optional[SolveReport]] = [None] * len(requests)
         pending: Dict[Tuple[Any, ...], List[int]] = {}
         payloads: Dict[Tuple[Any, ...], Dict[str, Any]] = {}
         resolved_by_index: List[Optional[BooleanRelation]] = \
             [None] * len(requests)
-        memo_export: Optional[List[Tuple[Any, Any]]] = None
 
         for index, request in enumerate(requests):
             label = request.label or "job-%d" % index
@@ -1119,7 +992,7 @@ class Session:
                 reports[index] = SolveReport.from_error(
                     exc, request=request.to_dict(), label=label)
                 continue
-            if (executor != "serial"
+            if (executor == "process"
                     and len(resolved.inputs) > self.max_snapshot_inputs):
                 # Not a per-job data failure but an API misuse: the pool
                 # transport would enumerate 2^inputs PLA rows and appear
@@ -1135,9 +1008,9 @@ class Session:
                        self.max_snapshot_inputs))
             try:
                 # The PLA snapshot (an exponential enumeration) is the
-                # transport to worker pools; serial jobs solve the live
-                # object and key by identity, skipping it entirely.
-                pla = (write_relation(resolved) if executor != "serial"
+                # transport to worker processes; serial jobs solve the
+                # live object and key by identity, skipping it entirely.
+                pla = (write_relation(resolved) if executor == "process"
                        else None)
             except Exception as exc:  # noqa: BLE001 — capture per job
                 reports[index] = SolveReport.from_error(
@@ -1177,41 +1050,34 @@ class Session:
                     solution=self._portable_solution(cached, resolved))
                 continue
             if key not in pending:
-                # "relation" is the live object for in-process execution;
-                # workers get only the picklable PLA snapshot.  The
-                # registry name (when the job referenced one) lets the
-                # serial path re-resolve and auto-trim safely.
-                source = request.relation
-                registry_name = None
-                if isinstance(source, str):
-                    registry_name = source
-                elif (isinstance(source, Mapping)
-                        and source.get("kind") == "name"):
-                    registry_name = source.get("name")
-                # Serial jobs use the live store; pool jobs get a seed
-                # export (computed once per batch, shared read-only by
-                # every payload) to rebuild a private store from.
-                memo_store = self._memo_for(request)
-                memo_entries = None
-                if memo_store is not None and pla is not None:
-                    if memo_export is None:
-                        memo_export = self.memo.export_entries(
-                            limit=DEFAULT_MEMO_EXPORT_LIMIT)
-                    memo_entries = memo_export
-                payloads[key] = {"pla": pla,
-                                 "request": request.to_dict(),
-                                 "label": label,
-                                 "relation": resolved,
-                                 "registry_name": registry_name,
-                                 "memo_store": memo_store,
-                                 "memo": memo_entries,
-                                 "memo_capacity": self.memo.capacity}
+                payload = payloads[key] = {
+                    "request": request.to_dict(), "label": label,
+                    "memo": self._memo_for(request) is not None}
+                if pla is not None:
+                    # Workers get only the picklable PLA snapshot.
+                    payload["pla"] = pla
+                else:
+                    # Serial jobs solve the live object.  The registry
+                    # name (when the job referenced one) lets them
+                    # re-resolve and auto-trim safely.
+                    source = request.relation
+                    if (isinstance(source, Mapping)
+                            and source.get("kind") == "name"):
+                        source = source["name"]
+                    payload["relation"] = resolved
+                    payload["registry_name"] = (
+                        source if isinstance(source, str) else None)
             pending.setdefault(key, []).append(index)
 
         if pending:
-            fresh = self._run_jobs(list(pending), payloads, max_workers,
-                                   executor, cancel)
-            for key, report in fresh.items():
+            batch = [payloads[key] for key in pending]
+            fresh: List[Optional[SolveReport]] = [None] * len(batch)
+            if executor == "serial":
+                for payload in batch:
+                    payload["resolve"] = functools.partial(
+                        self._live_relation, payload, batch, fresh)
+            self._solve_jobs(batch, executor, max_workers, cancel, fresh)
+            for key, report in zip(list(pending), fresh):
                 # Cancelled in-flight jobs report ok with a best-so-far
                 # solution; like solve(), that partial answer must not
                 # be served to future uncancelled calls.
@@ -1245,173 +1111,62 @@ class Session:
         return [report for report in reports if report is not None]
 
     # ------------------------------------------------------------------
-    def _absorb_memo_stats(self, report: SolveReport) -> None:
-        """Merge a pool worker's memo counters into the session store.
+    def _solve_jobs(self, payloads: List[Dict[str, Any]], executor: str,
+                    max_workers: Optional[int],
+                    cancel: Optional[CancelToken],
+                    reports: Optional[List[Optional[SolveReport]]] = None
+                    ) -> List[SolveReport]:
+        """Run :func:`_solve_job` payloads; one report each, in order.
 
-        Only the counters travel back — worker-learned entries die with
-        the worker.  Serial (and pool-fallback) jobs solve against the
-        live store, so their counters are already counted and must not
-        pass through here.
+        ``reports`` (one slot per payload) fills as jobs finish, so a
+        serial job starting later can see the reports before it.  A
+        worker process's memo counters merge into the session store;
+        serial jobs (fallbacks included) solve against the live store,
+        whose counters already count them.  Only the counters travel
+        back — worker-learned entries die with the worker.
         """
-        if not report.ok:
-            return
-        self.memo.absorb_counters(
-            hits=int(report.stats.get("memo_hits", 0)),
-            misses=int(report.stats.get("memo_misses", 0)),
-            stores=int(report.stats.get("memo_stores", 0)))
-
-    @staticmethod
-    def _cancelled_report(payload: Dict[str, Any]) -> SolveReport:
-        """The failed report of a job cancelled before it started."""
-        return SolveReport.from_error(
-            RuntimeError("cancelled before start"),
-            request=payload["request"], label=payload["label"])
-
-    def _run_jobs(self, keys: List[Tuple[Any, ...]],
-                  payloads: Dict[Tuple[Any, ...], Dict[str, Any]],
-                  max_workers: Optional[int],
-                  executor: str,
-                  cancel: Optional[CancelToken] = None
-                  ) -> Dict[Tuple[Any, ...], SolveReport]:
-        """Execute the unique jobs, serially or on an executor pool."""
-        if max_workers is None:
-            max_workers = self.default_max_workers
-        if max_workers is None:
-            max_workers = min(len(keys), os.cpu_count() or 1)
-        max_workers = max(1, min(max_workers, len(keys)))
-
-        results: Dict[Tuple[Any, ...], SolveReport] = {}
-        # Only an explicit "serial" runs in this process: process/thread
-        # keep their isolation and data-only contracts even for a single
-        # job or max_workers=1.
-        if executor == "serial":
-            limit = self.auto_trim_nodes
-            for key in keys:
-                payload = payloads[key]
-                if cancel is not None and cancel.cancelled:
-                    # In-flight jobs stopped themselves (best-so-far);
-                    # jobs not yet started are skipped outright.
-                    results[key] = self._cancelled_report(payload)
+        if reports is None:
+            reports = [None] * len(payloads)
+        with JobRun(_solve_job, payloads, executor,
+                    max_workers=(max_workers if max_workers is not None
+                                 else self.default_max_workers),
+                    cancel=cancel,
+                    memo=(self.memo if any(p["memo"] for p in payloads)
+                          else None)) as run:
+            for index, end in run:
+                payload = payloads[index]
+                if end.error is not None:
+                    reports[index] = SolveReport.from_error(
+                        RuntimeError(end.error),
+                        request=payload["request"], label=payload["label"])
                     continue
-                name = payload.get("registry_name")
-                if name is not None and name in self._relations:
-                    # Re-resolve from the registry so earlier trims in
-                    # this batch cannot leave the payload holding stale
-                    # node ids, then trim if the engine grew too big.
-                    relation = self._relations[name]
-                    payload["relation"] = relation
-                    if (limit is not None
-                            and relation.mgr.num_nodes > limit):
-                        payload["relation"] = self._trim_manager(
-                            relation.mgr, keep=relation,
-                            extra_reports=results.values(),
-                            extra_payloads=[payloads[k] for k in keys])
-                results[key] = self._solve_in_process(payload, cancel)
-            return results
+                report = reports[index] = end.value
+                if run.executor == "process" and report.ok:
+                    self.memo.absorb_counters(
+                        hits=int(report.stats.get("memo_hits", 0)),
+                        misses=int(report.stats.get("memo_misses", 0)),
+                        stores=int(report.stats.get("memo_stores", 0)))
+        return reports
 
-        if executor == "thread":
-            # BddManager is not thread-safe and session relations of the
-            # same shape share one, so each thread job solves its own
-            # PLA snapshot in a fresh manager (like a process worker) —
-            # and, for the same reason, a private seeded memo store
-            # whose counters merge back below.  Threads share the cancel
-            # token: in-flight searches stop cooperatively and report
-            # best-so-far.
-            with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                futures = {key: pool.submit(
-                    _solve_payload,
-                    {k: v for k, v in payloads[key].items()
-                     if k not in ("relation", "registry_name",
-                                  "memo_store")},
-                    cancel)
-                    for key in keys}
-                for key, future in futures.items():
-                    results[key] = future.result()
-                    self._absorb_memo_stats(results[key])
-            return results
+    def _live_relation(self, payload: Dict[str, Any],
+                       batch: List[Dict[str, Any]],
+                       reports: List[Optional[SolveReport]]
+                       ) -> BooleanRelation:
+        """A serial batch job's relation, resolved as the job starts.
 
-        # One worker-global store per process, seeded through the pool
-        # initializer: the export pickles once per worker instead of
-        # once per job, and jobs co-located on a worker share what the
-        # earlier ones learned.  Per-job payloads carry only a flag.
-        memo_seed = next((payloads[key]["memo"] for key in keys
-                          if payloads[key].get("memo") is not None), None)
-        pool_kwargs: Dict[str, Any] = {"max_workers": max_workers}
-        if memo_seed is not None:
-            pool_kwargs["initializer"] = _init_worker_memo
-            pool_kwargs["initargs"] = (memo_seed, self.memo.capacity)
-
-        def process_payload(key: Tuple[Any, ...]) -> Dict[str, Any]:
-            payload = {k: v for k, v in payloads[key].items()
-                       if k not in ("relation", "registry_name",
-                                    "memo_store", "memo",
-                                    "memo_capacity")}
-            payload["memo_shared"] = payloads[key].get("memo") is not None
-            return payload
-
-        try:
-            with ProcessPoolExecutor(**pool_kwargs) as pool:
-                futures = {key: pool.submit(_solve_payload,
-                                            process_payload(key))
-                    for key in keys}
-                # A CancelToken cannot cross the process boundary, so
-                # cancellation here stops dispatch: queued futures are
-                # cancelled, running workers finish their current job.
-                outstanding = set(futures.values())
-                while outstanding:
-                    done, outstanding = wait(
-                        outstanding,
-                        timeout=0.1 if cancel is not None else None,
-                        return_when=FIRST_COMPLETED)
-                    if (cancel is not None and cancel.cancelled
-                            and outstanding):
-                        for future in outstanding:
-                            future.cancel()
-                        break
-                for key, future in futures.items():
-                    if future.cancelled():
-                        results[key] = self._cancelled_report(
-                            payloads[key])
-                        continue
-                    try:
-                        results[key] = future.result()
-                        self._absorb_memo_stats(results[key])
-                    except Exception as exc:  # pool/pickling breakage
-                        results[key] = SolveReport.from_error(
-                            exc, request=payloads[key]["request"],
-                            label=payloads[key]["label"])
-        except OSError:
-            # Process pools need a working fork/semaphore layer; fall
-            # back to in-process execution in restricted sandboxes.
-            for key in keys:
-                if key not in results:
-                    if cancel is not None and cancel.cancelled:
-                        results[key] = self._cancelled_report(
-                            payloads[key])
-                    else:
-                        results[key] = self._solve_in_process(
-                            payloads[key], cancel)
-        return results
-
-    def _solve_in_process(self, payload: Dict[str, Any],
-                          cancel: Optional[CancelToken] = None
-                          ) -> SolveReport:
-        """In-process execution: same contract as the worker, but solves
-        the live relation object (keeping ``Solution`` handles valid in
-        the caller's managers)."""
-        label = payload.get("label")
-        request_dict = payload.get("request")
-        try:
-            request = SolveRequest.from_dict(request_dict)
-            relation = payload.get("relation")
-            if relation is None:
-                relation = parse_relation(payload["pla"])
-            result = BrelSolver(request.to_options(),
-                                memo=payload.get("memo_store")).solve(
-                relation, cancel=cancel)
-            return SolveReport.from_result(relation, result,
-                                           request=request_dict,
-                                           label=label)
-        except Exception as exc:  # noqa: BLE001 — isolation is the contract
-            return SolveReport.from_error(exc, request=request_dict,
-                                          label=label)
+        A registry relation is re-read, so an earlier trim in this batch
+        cannot leave the job holding stale node ids, and its manager is
+        trimmed first when it grew past ``auto_trim_nodes`` (remapping
+        the batch's pending relations and stripping its finished
+        reports' live solutions).
+        """
+        name = payload["registry_name"]
+        if name is not None and name in self._relations:
+            relation = payload["relation"] = self._relations[name]
+            limit = self.auto_trim_nodes
+            if limit is not None and relation.mgr.num_nodes > limit:
+                payload["relation"] = self._trim_manager(
+                    relation.mgr, keep=relation,
+                    extra_reports=[r for r in reports if r is not None],
+                    extra_payloads=batch)
+        return payload["relation"]

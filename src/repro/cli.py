@@ -44,6 +44,7 @@ from .api.registry import (COSTS, cost_names, minimizer_names,
                            strategy_names)
 from .api.request import SolveRequest, load_manifest
 from .api.session import Session
+from .core.jobs import EXECUTORS
 
 __all__ = ["COSTS", "build_parser", "main"]
 
@@ -376,11 +377,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "bfs,dfs,best-first,beam); each name is an "
                             "exploration strategy")
     solve.add_argument("--portfolio-executor",
-                       choices=["serial", "thread", "process"],
+                       choices=EXECUTORS,
                        default=None,
                        help="where portfolio racers run (implies "
-                            "--strategy portfolio; default thread; "
-                            "serial is deterministic)")
+                            "--strategy portfolio; default serial, "
+                            "which is deterministic)")
     solve.add_argument("--no-quick", action="store_true",
                        help="skip QuickSolver on explored subrelations "
                             "(quick_on_subrelations=False)")
@@ -410,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
                        action="store_false",
                        help="always solve the monolithic relation")
     solve.add_argument("--block-executor",
-                       choices=["serial", "thread", "process"],
+                       choices=EXECUTORS,
                        default="serial",
                        help="where decomposed blocks run: in-solver "
                             "(serial) or on a worker pool (results "
@@ -427,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="process-pool size (default: one per job, "
                             "capped at the CPU count)")
     batch.add_argument("--executor",
-                       choices=["process", "thread", "serial"],
+                       choices=EXECUTORS,
                        default="process")
     batch.add_argument("--output", default=None,
                        help="write the JSON report array here instead "
@@ -488,11 +489,11 @@ def build_parser() -> argparse.ArgumentParser:
     resynth.add_argument("--no-decompose", dest="decompose",
                          action="store_false")
     resynth.add_argument("--executor",
-                         choices=["serial", "thread", "process"],
+                         choices=EXECUTORS,
                          default="serial",
                          help="how the relation stream is solved "
-                              "(default serial; pools snapshot each "
-                              "relation to PLA text)")
+                              "(default serial; process snapshots "
+                              "each relation to PLA text)")
     resynth.add_argument("--workers", type=int, default=None)
     resynth.add_argument("--verify",
                          choices=["auto", "exhaustive", "signature",
@@ -554,7 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
     prewarm_cmd.add_argument("cache_dir",
                              help="disk-tier directory to fill")
     prewarm_cmd.add_argument("--executor",
-                             choices=["serial", "thread", "process"],
+                             choices=EXECUTORS,
                              default="serial")
     prewarm_cmd.add_argument("--workers", type=int, default=None)
     prewarm_cmd.set_defaults(func=_cmd_prewarm)

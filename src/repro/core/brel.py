@@ -140,9 +140,10 @@ class BrelOptions:
         mappings ``{"strategy": ..., "name": ..., <option deltas>}``.
         Rejected eagerly for any other strategy.
     portfolio_executor:
-        How the racers run: ``"serial"`` (deterministic round-robin
-        interleave), ``"thread"`` (the default, ``None``) or
-        ``"process"``.  Like the session's block executor, this is an
+        How the racers run: ``"serial"`` (the default, ``None``; a
+        deterministic round-robin interleave) or ``"process"`` (one
+        worker process per racer; see :mod:`repro.core.jobs`).  Like
+        the session's block executor, this is an
         execution detail — it never changes the solution — so cache
         keys ignore it.  Rejected eagerly for any other strategy.
     """

@@ -12,32 +12,27 @@ the same relation and keeps whichever finishes best:
   (frontier nodes whose bound cannot beat the shared incumbent are
   dropped with a ``shared-bound`` prune);
 * the instant one racer *proves optimality* — it exhausted its frontier
-  without ever truncating it — all losers are cancelled through their
-  :class:`~repro.core.explore.CancelToken`;
+  without ever truncating it — all losers are cancelled through the
+  run's shared cancel flag (:meth:`repro.core.jobs.JobRun.stop`);
 * the merged event stream stays anytime: one opening ``portfolio``
   event, the root quick solution, a ``new-best`` for every *globally*
   improving incumbent (re-stamped with the cumulative explored count
   across racers), one ``racer-done`` per racer, and a closing ``done``
   — so ``iter_solve`` and SSE streaming work unchanged.
 
-Executors (``portfolio_executor``):
+Executors (``portfolio_executor``, run by :class:`repro.core.jobs.JobRun`):
 
-``"serial"``
-    round-robin interleave of the racer generators on the caller's
-    thread and manager — deterministic, no snapshots, works at any
-    relation width;
-``"thread"`` (default)
-    one thread per racer.  ``BddManager`` is not thread-safe, so each
-    racer re-parses a PLA snapshot of the relation into a private
-    manager (capped at :data:`MAX_RACE_SNAPSHOT_INPUTS` inputs — wider
-    relations fall back to serial) and improvements travel back as
-    solution PLA text, re-instantiated in the caller's manager;
+``"serial"`` (default)
+    round-robin interleave of the racers, one solver event each per
+    turn, on the caller's thread and manager — deterministic, no
+    snapshots, works at any relation width;
 ``"process"``
-    one OS process per racer; the bound channel is a shared-memory
-    value and results come back over a queue.  Requires the cost
-    function and minimiser to be registered by name.  A racer process
-    that dies surfaces as a failed-racer note on the portfolio summary,
-    never as an escaping pool error.
+    one worker process per racer, each re-parsing a PLA snapshot of the
+    relation (capped at :data:`repro.core.jobs.MAX_SNAPSHOT_INPUTS`
+    inputs — wider races fall back to serial); the bound channel is a
+    shared-memory value and improvements travel back as solution PLA
+    text, re-instantiated in the caller's manager.  Requires the cost
+    function and minimiser to be registered by name (else: serial).
 
 The racer failure contract is uniform: a racer that errors (or whose
 process dies) is recorded on the summary and the race continues with
@@ -46,16 +41,14 @@ the rest; only a race with *no* surviving racer raises.
 
 from __future__ import annotations
 
-import queue as queue_mod
-import threading
 import time
 from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Any, Dict, Generator, List, Mapping,
-                    Optional, Sequence, Tuple)
+                    Optional, Tuple)
 
+from . import jobs
 from .explore import CancelToken, Improvement, SolveEvent, \
     get_strategy_factory
-from .memo import MemoStore
 from .partition import block_functions_from_pla, merge_block_stats
 from .quick import quick_solve
 from .relation import BooleanRelation
@@ -67,21 +60,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: The default racer line-up: one of each shipped frontier discipline.
 DEFAULT_RACERS: Tuple[str, ...] = ("bfs", "dfs", "best-first", "beam")
-
-#: Valid ``portfolio_executor`` values (``None`` means the default).
-RACE_EXECUTORS: Tuple[str, ...] = ("serial", "thread", "process")
-
-#: Executor used when ``portfolio_executor`` is ``None``.
-DEFAULT_RACE_EXECUTOR = "thread"
-
-#: Widest relation (in inputs) the thread/process executors snapshot to
-#: PLA text for racer-private managers; the snapshot enumerates all
-#: 2^inputs input vertices, so wider races fall back to serial.
-MAX_RACE_SNAPSHOT_INPUTS = 16
-
-#: Most-recent memo entries shipped to each thread/process racer's
-#: private store (mirrors the session batch export bound).
-MEMO_EXPORT_LIMIT = 2048
 
 #: Option fields a racer spec may override relative to the base options.
 RACER_DELTA_FIELDS: Tuple[str, ...] = (
@@ -99,14 +77,14 @@ class BoundChannel:
     improvement; only strictly better costs are accepted.  The solver
     loop reads :attr:`cost` once per dequeued subrelation and prunes
     candidates and frontier nodes that cannot beat it — the cross-racer
-    twin of the Fig. 6 line-6 bound.  Thread-safe; reads are lock-free
-    (a float attribute swap is atomic under the GIL).
+    twin of the Fig. 6 line-6 bound.  Racers on the serial executor
+    share one channel on one thread; racer processes share a
+    :class:`~repro.core.jobs.SharedBound` instead.
     """
 
-    __slots__ = ("_lock", "_cost")
+    __slots__ = ("_cost",)
 
     def __init__(self, cost: float = float("inf")) -> None:
-        self._lock = threading.Lock()
         self._cost = cost
 
     @property
@@ -116,53 +94,13 @@ class BoundChannel:
 
     def publish(self, cost: float) -> bool:
         """Offer an incumbent cost; ``True`` if it strictly improved."""
-        with self._lock:
-            if cost < self._cost:
-                self._cost = cost
-                return True
-            return False
+        if cost < self._cost:
+            self._cost = cost
+            return True
+        return False
 
     def __repr__(self) -> str:
         return "BoundChannel(cost=%r)" % self._cost
-
-
-class _SharedValueBound:
-    """Process-side :class:`BoundChannel` adapter over an mp ``Value``."""
-
-    __slots__ = ("_value",)
-
-    def __init__(self, value: Any) -> None:
-        self._value = value
-
-    @property
-    def cost(self) -> float:
-        return self._value.value
-
-    def publish(self, cost: float) -> bool:
-        with self._value.get_lock():
-            if cost < self._value.value:
-                self._value.value = cost
-                return True
-            return False
-
-
-class _SharedValueCancel:
-    """Duck-typed :class:`CancelToken` over a shared mp flag ``Value``."""
-
-    __slots__ = ("_value",)
-
-    def __init__(self, value: Any) -> None:
-        self._value = value
-
-    def cancel(self) -> None:
-        self._value.value = 1
-
-    @property
-    def cancelled(self) -> bool:
-        return self._value.value != 0
-
-    def __bool__(self) -> bool:
-        return self.cancelled
 
 
 # ----------------------------------------------------------------------
@@ -276,11 +214,9 @@ def validate_portfolio_options(options: "BrelOptions"
     loaded, not mid-race.  Returns the normalised racer specs.
     """
     specs = normalize_racers(options.portfolio_racers)
-    executor = options.portfolio_executor
-    if executor is not None and executor not in RACE_EXECUTORS:
-        raise ValueError(
-            "portfolio_executor must be one of %r or None (None = %r)"
-            % (RACE_EXECUTORS, DEFAULT_RACE_EXECUTOR))
+    if options.portfolio_executor is not None:
+        jobs.check_executor(options.portfolio_executor,
+                            "portfolio_executor (or None = 'serial')")
     for spec in specs:
         # Construct each racer's options so every strategy-specific
         # combination check runs now (e.g. the beam width rule).
@@ -314,7 +250,6 @@ class _RacerOutcome:
     runtime_seconds: float = 0.0
     stopped: Optional[str] = None
     stats: Optional[SolverStats] = None
-    frontier_overflow: int = 0
     error: Optional[str] = None
     winner: bool = False
 
@@ -324,7 +259,7 @@ class _RacerOutcome:
         branch-and-bound completion, so nothing can beat the shared
         incumbent — cancelling the other racers loses no solutions."""
         return (self.error is None and self.stopped == "exhausted"
-                and self.frontier_overflow == 0)
+                and self.stats.frontier_overflow == 0)
 
     def summary_row(self) -> Dict[str, Any]:
         return {
@@ -352,6 +287,58 @@ def _solution_pla_text(relation: BooleanRelation,
 
 
 # ----------------------------------------------------------------------
+# The racer job
+# ----------------------------------------------------------------------
+def _racer_job(payload: Dict[str, Any], ctx: jobs.JobContext):
+    """One racer: a full strategy loop against the shared bound.
+
+    A serial racer solves the caller's live ``payload["relation"]``
+    with its live ``payload["options"]`` and yields live solutions.  A
+    racer process parses ``payload["pla"]``, rebuilds its options from
+    ``payload["request"]`` (registry names), and yields solution PLA
+    text, since BDD handles must not cross the process boundary.  Every
+    solver event is one step (``None`` unless it is an improvement that
+    won the shared bound); the job returns ``(cost, stopped, stats)``.
+    """
+    from .brel import BrelSolver
+    live = "relation" in payload
+    if live:
+        relation, options = payload["relation"], payload["options"]
+    else:
+        relation = parse_relation(payload["pla"])
+        options = payload["request"].to_options()
+    solver = BrelSolver(options, memo=ctx.memo, bound=ctx.bound)
+    events = solver.iter_events(relation, cancel=ctx.cancel)
+    while True:
+        try:
+            ev = next(events)
+        except StopIteration as stop:
+            result = stop.value
+            return result.solution.cost, result.stopped, result.stats
+        if (ev.kind == "new-best" and ev.solution is not None
+                and ctx.bound.publish(ev.solution.cost)):
+            solution = (ev.solution if live
+                        else _solution_pla_text(relation, ev.solution))
+            yield "improve", solution, ev.depth, ev.explored
+        else:
+            yield None
+
+
+def _instantiate_solution(relation: BooleanRelation, solution_pla: str,
+                          options: "BrelOptions") -> Solution:
+    """Re-instantiate a racer's solution PLA in the caller's manager.
+
+    Costs are recomputed in the destination manager; the built-in cost
+    functions are manager-invariant (same reduced structure, same
+    numbers), so this matches the racer's published cost.
+    """
+    functions = block_functions_from_pla(
+        relation.mgr, solution_pla, relation.inputs, relation.outputs)
+    return Solution(relation.mgr, functions,
+                    options.cost_function(relation.mgr, functions))
+
+
+# ----------------------------------------------------------------------
 # The race driver
 # ----------------------------------------------------------------------
 def race_portfolio(solver: "BrelSolver", relation: BooleanRelation,
@@ -367,35 +354,25 @@ def race_portfolio(solver: "BrelSolver", relation: BooleanRelation,
     from .brel import BrelResult
     options = solver.options
     specs = list(normalize_racers(options.portfolio_racers))
-    requested = options.portfolio_executor or DEFAULT_RACE_EXECUTOR
+    requested = options.portfolio_executor or "serial"
     executor = requested
     note: Optional[str] = None
-
-    if executor != "serial" \
-            and len(relation.inputs) > MAX_RACE_SNAPSHOT_INPUTS:
-        note = ("serial fallback: %d inputs exceed the %d-input PLA "
-                "snapshot guard" % (len(relation.inputs),
-                                    MAX_RACE_SNAPSHOT_INPUTS))
-        executor = "serial"
-    cost_name = minimizer_name = None
+    racer_options = [build_racer_options(options, spec) for spec in specs]
     if executor == "process":
+        from ..api.request import SolveRequest
         try:
-            import multiprocessing
-            daemonic = multiprocessing.current_process().daemon
-        except ImportError:  # pragma: no cover - stdlib always has it
-            daemonic = True
-        if daemonic:
-            note = ("thread fallback: daemonic processes cannot "
-                    "spawn racer processes")
-            executor = "thread"
-        else:
-            from ..api.registry import cost_registry, minimizer_registry
-            cost_name = cost_registry.name_of(options.cost_function)
-            minimizer_name = minimizer_registry.name_of(options.minimizer)
-            if cost_name is None or minimizer_name is None:
-                note = ("thread fallback: process racers need the cost "
-                        "function and minimizer registered by name")
-                executor = "thread"
+            # Registry names are how a racer process gets the callables.
+            requests = [SolveRequest.from_options(racer)
+                        for racer in racer_options]
+        except ValueError:
+            note = ("serial fallback: process racers need the cost "
+                    "function and minimizer registered by name")
+            executor = "serial"
+        if len(relation.inputs) > jobs.MAX_SNAPSHOT_INPUTS:
+            note = ("serial fallback: %d inputs exceed the %d-input PLA "
+                    "snapshot guard" % (len(relation.inputs),
+                                        jobs.MAX_SNAPSHOT_INPUTS))
+            executor = "serial"
 
     start = time.perf_counter()
     deadline = (start + options.time_limit_seconds
@@ -427,48 +404,67 @@ def race_portfolio(solver: "BrelSolver", relation: BooleanRelation,
             trace.append(ev)
         return ev
 
-    yield event("portfolio", detail="%d racers: %s; executor=%s%s" % (
-        len(specs), " | ".join(o.name for o in outcomes), executor,
-        " (%s)" % note if note else ""))
-    yield event("quick-solution", cost=best.cost, depth=0)
-    improvements.append(Improvement(best, best.cost,
-                                    time.perf_counter() - start, 0))
-    yield event("new-best", cost=best.cost, solution=best, depth=0)
-
-    stop_reason: List[Optional[str]] = [None]
-
-    if executor == "serial":
-        driver = _drive_serial(solver, relation, specs, outcomes,
-                               channel, cancel, deadline, stop_reason)
-    elif executor == "thread":
-        driver = _drive_threads(solver, relation, specs, outcomes,
-                                channel, cancel, deadline, stop_reason)
+    if executor == "process":
+        pla = write_relation(relation)
+        payloads = [{"pla": pla, "request": request}
+                    for request in requests]
     else:
-        driver = _drive_processes(solver, relation, specs, outcomes,
-                                  channel, cancel, deadline, stop_reason,
-                                  cost_name, minimizer_name)
+        payloads = [{"relation": relation, "options": racer}
+                    for racer in racer_options]
+    # Racers all run at once: one worker each.
+    run = jobs.JobRun(_racer_job, payloads, executor,
+                      max_workers=len(specs), cancel=cancel,
+                      deadline=deadline, bound=channel, memo=memo)
+    executor, note = run.executor, run.note or note
+    racer_start = time.perf_counter()
+    with run:
+        yield event("portfolio", detail="%d racers: %s; executor=%s%s" % (
+            len(specs), " | ".join(o.name for o in outcomes), executor,
+            " (%s)" % note if note else ""))
+        yield event("quick-solution", cost=best.cost, depth=0)
+        improvements.append(Improvement(best, best.cost,
+                                        time.perf_counter() - start, 0))
+        yield event("new-best", cost=best.cost, solution=best, depth=0)
 
-    # The driver sub-generators yield ("event-kind", payload) tuples;
-    # globally improving incumbents arrive as live parent-manager
-    # solutions and are re-stamped here with the cumulative counters.
-    while True:
-        try:
-            kind, payload = next(driver)
-        except StopIteration:
-            break
-        if kind == "new-best":
-            solution, racer_index, depth = payload
-            if solution.cost < best.cost:
-                best = solution
-                best_racer = racer_index
-                improvements.append(Improvement(
-                    best, best.cost, time.perf_counter() - start,
-                    sum(o.explored for o in outcomes)))
-                yield event("new-best", cost=best.cost, solution=best,
-                            depth=depth,
-                            detail=outcomes[racer_index].name)
-        elif kind == "racer-done":
-            outcome = payload
+        announced = False
+        for index, message in run:
+            if run.stopped is not None and not announced:
+                announced = True
+                yield event(run.stopped)
+            outcome = outcomes[index]
+            if not isinstance(message, jobs.Done):
+                _, solution, depth, explored = message
+                outcome.explored = explored
+                outcome.contributed += 1
+                if not isinstance(solution, Solution):
+                    solution = _instantiate_solution(relation, solution,
+                                                     options)
+                if solution.cost < best.cost:
+                    best = solution
+                    best_racer = index
+                    improvements.append(Improvement(
+                        best, best.cost, time.perf_counter() - start,
+                        sum(o.explored for o in outcomes)))
+                    yield event("new-best", cost=best.cost,
+                                solution=best, depth=depth,
+                                detail=outcome.name)
+                continue
+            outcome.runtime_seconds = time.perf_counter() - racer_start
+            if message.error == jobs.NOT_STARTED:
+                outcome.stopped = "cancelled"
+            elif message.error is not None:
+                outcome.error = message.error
+            else:
+                outcome.cost, outcome.stopped, outcome.stats = \
+                    message.value
+                outcome.explored = outcome.stats.relations_explored
+                if memo is not None and run.executor == "process":
+                    memo.absorb_counters(
+                        hits=outcome.stats.memo_hits,
+                        misses=outcome.stats.memo_misses,
+                        stores=outcome.stats.memo_stores)
+                if run.stopped is None and outcome.proved_optimal:
+                    run.stop()
             yield event("racer-done", cost=outcome.cost,
                         detail="%s: %s%s" % (
                             outcome.name,
@@ -476,8 +472,6 @@ def race_portfolio(solver: "BrelSolver", relation: BooleanRelation,
                             else "error (%s)" % outcome.error,
                             " (proved optimal)"
                             if outcome.proved_optimal else ""))
-        elif kind == "stopped":
-            yield event(payload)
 
     failures = [o for o in outcomes if o.error is not None]
     if len(failures) == len(outcomes):
@@ -500,7 +494,7 @@ def race_portfolio(solver: "BrelSolver", relation: BooleanRelation,
     if winner is not None:
         outcomes[winner].winner = True
 
-    stopped = stop_reason[0]
+    stopped = run.stopped
     if stopped is None:
         stopped = (outcomes[winner].stopped or "exhausted"
                    if winner is not None else "exhausted")
@@ -532,459 +526,3 @@ def race_portfolio(solver: "BrelSolver", relation: BooleanRelation,
     return BrelResult(best, stats, improvements=improvements,
                       events=trace, stopped=stopped,
                       portfolio=summary)
-
-
-# ----------------------------------------------------------------------
-# Serial executor: deterministic round-robin interleave
-# ----------------------------------------------------------------------
-def _drive_serial(solver: "BrelSolver", relation: BooleanRelation,
-                  specs: List[Dict[str, Any]],
-                  outcomes: List[_RacerOutcome],
-                  channel: BoundChannel,
-                  cancel: Optional[CancelToken],
-                  deadline: Optional[float],
-                  stop_reason: List[Optional[str]]):
-    """Pump the racer generators one event at a time, round-robin.
-
-    Racers share the caller's manager and the solver's memo store
-    (single-threaded, so no isolation is needed), which makes this the
-    deterministic reference executor.
-    """
-    from .brel import BrelSolver
-    options = solver.options
-    tokens = [CancelToken() for _ in specs]
-    racers = []
-    for spec, token in zip(specs, tokens):
-        sub = BrelSolver(build_racer_options(options, spec),
-                         memo=solver.memo, bound=channel)
-        racers.append(sub.iter_events(relation, cancel=token))
-    active = list(range(len(specs)))
-    racer_start = time.perf_counter()
-
-    def stop_all(reason: str) -> None:
-        if stop_reason[0] is None:
-            stop_reason[0] = reason
-            for token in tokens:
-                token.cancel()
-
-    while active:
-        if cancel is not None and cancel.cancelled:
-            stop_all("cancelled")
-            yield ("stopped", "cancelled")
-            cancel = None  # emit the stop event once
-        if deadline is not None and time.perf_counter() > deadline:
-            stop_all("timeout")
-            yield ("stopped", "timeout")
-            deadline = None
-        for index in list(active):
-            try:
-                ev = next(racers[index])
-            except StopIteration as stop:
-                result = stop.value
-                outcome = outcomes[index]
-                outcome.cost = result.solution.cost
-                outcome.explored = result.stats.relations_explored
-                outcome.runtime_seconds = \
-                    time.perf_counter() - racer_start
-                outcome.stopped = result.stopped
-                outcome.stats = result.stats
-                outcome.frontier_overflow = \
-                    result.stats.frontier_overflow
-                active.remove(index)
-                yield ("racer-done", outcome)
-                if stop_reason[0] is None and outcome.proved_optimal:
-                    for other in active:
-                        tokens[other].cancel()
-                continue
-            except Exception as exc:  # noqa: BLE001 — racer isolation
-                outcome = outcomes[index]
-                outcome.error = "%s: %s" % (type(exc).__name__, exc)
-                outcome.runtime_seconds = \
-                    time.perf_counter() - racer_start
-                active.remove(index)
-                yield ("racer-done", outcome)
-                continue
-            outcomes[index].explored = ev.explored
-            if ev.kind == "new-best" and ev.solution is not None:
-                if channel.publish(ev.solution.cost):
-                    outcomes[index].contributed += 1
-                    yield ("new-best", (ev.solution, index, ev.depth))
-
-
-# ----------------------------------------------------------------------
-# Thread executor: one racer per thread, private managers
-# ----------------------------------------------------------------------
-def _thread_racer(index: int, spec: Dict[str, Any],
-                  base_options: "BrelOptions", pla: str,
-                  memo_entries: Optional[List[Tuple[Any, Any]]],
-                  memo_capacity: Optional[int],
-                  channel: BoundChannel, token: CancelToken,
-                  msgq: "queue_mod.SimpleQueue") -> None:
-    """One racer's thread body: private manager, shared bound channel.
-
-    Improvements that win the publish race are rendered to solution PLA
-    text *in this thread's manager* and shipped to the driver, which
-    re-instantiates them in the caller's manager.
-    """
-    from .brel import BrelSolver
-    try:
-        racer_relation = parse_relation(pla)
-        store = (MemoStore(capacity=memo_capacity, entries=memo_entries)
-                 if memo_entries is not None else None)
-        sub = BrelSolver(build_racer_options(base_options, spec),
-                         memo=store, bound=channel)
-
-        def observe(ev: SolveEvent) -> None:
-            if ev.kind == "new-best" and ev.solution is not None:
-                if channel.publish(ev.solution.cost):
-                    msgq.put(("improve", index,
-                              _solution_pla_text(racer_relation,
-                                                 ev.solution),
-                              ev.depth))
-
-        result = sub.solve(racer_relation, cancel=token,
-                           observer=observe)
-        msgq.put(("done", index, {
-            "cost": result.solution.cost,
-            "stopped": result.stopped,
-            "stats": result.stats,
-            "memo_counters": (store.counters()
-                              if store is not None else None),
-        }))
-    except Exception as exc:  # noqa: BLE001 — racer isolation
-        msgq.put(("error", index, "%s: %s" % (type(exc).__name__, exc)))
-
-
-def _drive_threads(solver: "BrelSolver", relation: BooleanRelation,
-                   specs: List[Dict[str, Any]],
-                   outcomes: List[_RacerOutcome],
-                   channel: BoundChannel,
-                   cancel: Optional[CancelToken],
-                   deadline: Optional[float],
-                   stop_reason: List[Optional[str]]):
-    """Drive one thread per racer; merge their message stream."""
-    options = solver.options
-    pla = write_relation(relation)
-    memo = solver.memo
-    memo_entries = (memo.export_entries(limit=MEMO_EXPORT_LIMIT)
-                    if memo is not None else None)
-    memo_capacity = memo.capacity if memo is not None else None
-    tokens = [CancelToken() for _ in specs]
-    msgq: "queue_mod.SimpleQueue" = queue_mod.SimpleQueue()
-    threads = []
-    racer_start = time.perf_counter()
-    for index, spec in enumerate(specs):
-        thread = threading.Thread(
-            target=_thread_racer,
-            args=(index, spec, options, pla, memo_entries,
-                  memo_capacity, channel, tokens[index], msgq),
-            name="portfolio-racer-%s" % spec["name"], daemon=True)
-        threads.append(thread)
-
-    def stop_all(reason: str) -> None:
-        if stop_reason[0] is None:
-            stop_reason[0] = reason
-        for token in tokens:
-            token.cancel()
-
-    try:
-        for thread in threads:
-            thread.start()
-        pending = set(range(len(specs)))
-        while pending:
-            if cancel is not None and cancel.cancelled:
-                stop_all("cancelled")
-                yield ("stopped", "cancelled")
-                cancel = None
-            if deadline is not None \
-                    and time.perf_counter() > deadline:
-                stop_all("timeout")
-                yield ("stopped", "timeout")
-                deadline = None
-            try:
-                message = msgq.get(timeout=0.05)
-            except queue_mod.Empty:
-                continue
-            kind = message[0]
-            index = message[1]
-            outcome = outcomes[index]
-            if kind == "improve":
-                _, _, solution_pla, depth = message
-                outcome.contributed += 1
-                solution = _instantiate_solution(
-                    relation, solution_pla, options)
-                yield ("new-best", (solution, index, depth))
-            elif kind == "done":
-                data = message[2]
-                stats: SolverStats = data["stats"]
-                outcome.cost = data["cost"]
-                outcome.explored = stats.relations_explored
-                outcome.runtime_seconds = \
-                    time.perf_counter() - racer_start
-                outcome.stopped = data["stopped"]
-                outcome.stats = stats
-                outcome.frontier_overflow = stats.frontier_overflow
-                if memo is not None \
-                        and data["memo_counters"] is not None:
-                    hits, misses, stores = data["memo_counters"]
-                    memo.absorb_counters(hits=hits, misses=misses,
-                                         stores=stores)
-                pending.discard(index)
-                yield ("racer-done", outcome)
-                if stop_reason[0] is None and outcome.proved_optimal:
-                    for other in pending:
-                        tokens[other].cancel()
-            else:  # error
-                outcome.error = message[2]
-                outcome.runtime_seconds = \
-                    time.perf_counter() - racer_start
-                pending.discard(index)
-                yield ("racer-done", outcome)
-    finally:
-        # Abandoned mid-race (consumer closed the stream, or an
-        # unexpected driver error): stop every racer thread before
-        # unwinding so none keeps burning CPU on a dead race.
-        for token in tokens:
-            token.cancel()
-        for thread in threads:
-            if thread.is_alive():
-                thread.join(timeout=5.0)
-
-
-def _instantiate_solution(relation: BooleanRelation, solution_pla: str,
-                          options: "BrelOptions") -> Solution:
-    """Re-instantiate a racer's solution PLA in the caller's manager.
-
-    Costs are recomputed in the destination manager; the built-in cost
-    functions are manager-invariant (same reduced structure, same
-    numbers), so this matches the racer's published cost.
-    """
-    functions = block_functions_from_pla(
-        relation.mgr, solution_pla, relation.inputs, relation.outputs)
-    return Solution(relation.mgr, functions,
-                    options.cost_function(relation.mgr, functions))
-
-
-# ----------------------------------------------------------------------
-# Process executor: one racer per OS process
-# ----------------------------------------------------------------------
-def _process_racer_main(index: int, payload: Dict[str, Any],
-                        bound_value: Any, cancel_value: Any,
-                        msgq: Any) -> None:
-    """Racer process entry point (must be importable, hence top-level).
-
-    Rebuilds the racer options from registry names, solves against the
-    shared-memory bound, and ships improvements/results back over the
-    queue as data (PLA text + stat dicts) — BDD handles never cross the
-    process boundary.
-    """
-    try:
-        from .brel import BrelOptions, BrelSolver
-        from ..api.registry import cost_registry, minimizer_registry
-        racer_relation = parse_relation(payload["pla"])
-        options = BrelOptions(
-            cost_function=cost_registry.get(payload["cost"]),
-            minimizer=minimizer_registry.get(payload["minimizer"]),
-            strategy=payload["strategy"],
-            max_explored=payload["max_explored"],
-            fifo_capacity=payload["fifo_capacity"],
-            quick_on_subrelations=payload["quick_on_subrelations"],
-            symmetry_pruning=payload["symmetry_pruning"],
-            symmetry_max_depth=payload["symmetry_max_depth"],
-            time_limit_seconds=payload["time_limit_seconds"],
-            record_trace=False, memo=None, decompose=False)
-        memo_entries = payload.get("memo")
-        store = (MemoStore(capacity=payload.get("memo_capacity"),
-                           entries=memo_entries)
-                 if memo_entries is not None else None)
-        channel = _SharedValueBound(bound_value)
-        token = _SharedValueCancel(cancel_value)
-        contributed = [0]
-        sub = BrelSolver(options, memo=store, bound=channel)
-
-        def observe(ev: SolveEvent) -> None:
-            if ev.kind == "new-best" and ev.solution is not None:
-                if channel.publish(ev.solution.cost):
-                    contributed[0] += 1
-                    msgq.put(("improve", index,
-                              _solution_pla_text(racer_relation,
-                                                 ev.solution),
-                              ev.depth))
-
-        result = sub.solve(racer_relation, cancel=token,
-                           observer=observe)
-        msgq.put(("done", index, {
-            "cost": result.solution.cost,
-            "stopped": result.stopped,
-            "stats": result.stats.as_dict(),
-            "contributed": contributed[0],
-            "memo_counters": (store.counters()
-                              if store is not None else None),
-        }))
-    except Exception as exc:  # noqa: BLE001 — racer isolation
-        try:
-            msgq.put(("error", index,
-                      "%s: %s" % (type(exc).__name__, exc)))
-        except Exception:  # pragma: no cover - queue already broken
-            pass
-
-
-def _drive_processes(solver: "BrelSolver", relation: BooleanRelation,
-                     specs: List[Dict[str, Any]],
-                     outcomes: List[_RacerOutcome],
-                     channel: BoundChannel,
-                     cancel: Optional[CancelToken],
-                     deadline: Optional[float],
-                     stop_reason: List[Optional[str]],
-                     cost_name: str, minimizer_name: str):
-    """Drive one OS process per racer over a shared-memory bound.
-
-    A racer process that dies without reporting (killed, segfaulted,
-    ``os._exit``) is recorded as a failed racer after a short grace
-    period, never raised.  When the process layer itself is unavailable
-    (restricted sandboxes without semaphores) the whole race falls back
-    to the thread executor.
-    """
-    import multiprocessing
-    options = solver.options
-    try:
-        ctx = multiprocessing.get_context()
-        bound_value = ctx.Value("d", channel.cost)
-        cancel_value = ctx.Value("i", 0)
-        msgq = ctx.Queue()
-    except OSError:
-        # No working semaphore layer: race on threads instead.
-        yield from _drive_threads(solver, relation, specs, outcomes,
-                                  channel, cancel, deadline, stop_reason)
-        return
-    memo = solver.memo
-    memo_entries = (memo.export_entries(limit=MEMO_EXPORT_LIMIT)
-                    if memo is not None else None)
-    pla = write_relation(relation)
-    base_payload = {
-        "pla": pla,
-        "cost": cost_name,
-        "minimizer": minimizer_name,
-        "quick_on_subrelations": options.quick_on_subrelations,
-        "time_limit_seconds": options.time_limit_seconds,
-        "memo": memo_entries,
-        "memo_capacity": memo.capacity if memo is not None else None,
-    }
-    processes: List[Any] = []
-    racer_start = time.perf_counter()
-    try:
-        for index, spec in enumerate(specs):
-            racer_options = build_racer_options(options, spec)
-            payload = dict(base_payload)
-            payload.update({
-                "strategy": racer_options.exploration_strategy(),
-                "max_explored": racer_options.max_explored,
-                "fifo_capacity": racer_options.fifo_capacity,
-                "quick_on_subrelations":
-                    racer_options.quick_on_subrelations,
-                "symmetry_pruning": racer_options.symmetry_pruning,
-                "symmetry_max_depth": racer_options.symmetry_max_depth,
-            })
-            process = ctx.Process(
-                target=_process_racer_main,
-                args=(index, payload, bound_value, cancel_value, msgq),
-                name="portfolio-racer-%s" % spec["name"], daemon=True)
-            processes.append(process)
-        for process in processes:
-            process.start()
-    except OSError:
-        for process in processes:
-            if process.is_alive():  # pragma: no cover - defensive
-                process.terminate()
-        yield from _drive_threads(solver, relation, specs, outcomes,
-                                  channel, cancel, deadline, stop_reason)
-        return
-
-    def stop_all(reason: Optional[str]) -> None:
-        if reason is not None and stop_reason[0] is None:
-            stop_reason[0] = reason
-        cancel_value.value = 1
-
-    try:
-        pending = set(range(len(specs)))
-        dead_strikes = [0] * len(specs)
-        while pending:
-            if cancel is not None and cancel.cancelled:
-                stop_all("cancelled")
-                yield ("stopped", "cancelled")
-                cancel = None
-            if deadline is not None \
-                    and time.perf_counter() > deadline:
-                stop_all("timeout")
-                yield ("stopped", "timeout")
-                deadline = None
-            try:
-                message = msgq.get(timeout=0.05)
-            except queue_mod.Empty:
-                # A dead process that never reported gets a few grace
-                # polls (its queue feeder may still be flushing), then
-                # surfaces as a failed racer.
-                for index in list(pending):
-                    process = processes[index]
-                    if process.is_alive():
-                        dead_strikes[index] = 0
-                        continue
-                    dead_strikes[index] += 1
-                    if dead_strikes[index] >= 4:
-                        outcome = outcomes[index]
-                        outcome.error = (
-                            "racer process died without reporting "
-                            "(exitcode %s)" % process.exitcode)
-                        outcome.runtime_seconds = \
-                            time.perf_counter() - racer_start
-                        pending.discard(index)
-                        yield ("racer-done", outcome)
-                continue
-            kind = message[0]
-            index = message[1]
-            if index not in pending and kind != "improve":
-                continue  # late message from a racer already written off
-            outcome = outcomes[index]
-            if kind == "improve":
-                _, _, solution_pla, depth = message
-                outcome.contributed += 1
-                # Mirror the shared value into the in-process channel
-                # so the summary and any serial co-racers stay in sync.
-                solution = _instantiate_solution(
-                    relation, solution_pla, options)
-                channel.publish(solution.cost)
-                yield ("new-best", (solution, index, depth))
-            elif kind == "done":
-                data = message[2]
-                stats = SolverStats(**data["stats"])
-                outcome.cost = data["cost"]
-                outcome.explored = stats.relations_explored
-                outcome.contributed = data["contributed"]
-                outcome.runtime_seconds = \
-                    time.perf_counter() - racer_start
-                outcome.stopped = data["stopped"]
-                outcome.stats = stats
-                outcome.frontier_overflow = stats.frontier_overflow
-                if memo is not None \
-                        and data["memo_counters"] is not None:
-                    hits, misses, stores = data["memo_counters"]
-                    memo.absorb_counters(hits=hits, misses=misses,
-                                         stores=stores)
-                pending.discard(index)
-                yield ("racer-done", outcome)
-                if stop_reason[0] is None and outcome.proved_optimal:
-                    stop_all(None)
-            else:  # error
-                outcome.error = message[2]
-                outcome.runtime_seconds = \
-                    time.perf_counter() - racer_start
-                pending.discard(index)
-                yield ("racer-done", outcome)
-    finally:
-        cancel_value.value = 1
-        for process in processes:
-            process.join(timeout=5.0)
-        for process in processes:
-            if process.is_alive():  # pragma: no cover - hung racer
-                process.terminate()
-        msgq.close()

@@ -15,11 +15,11 @@ from typing import Any, Dict, Mapping, Optional, Tuple
 from ..api.registry import cost_registry, minimizer_registry
 from ..api.request import SolveRequest
 from ..benchdata.circuits import circuit_by_name
+from ..core.jobs import check_executor
 from ..network.blif import parse_blif
 from ..network.netlist import LogicNetwork
 from .window import CUT_POLICIES, MAX_WINDOW_LEAVES
 
-EXECUTORS = ("serial", "thread", "process")
 VERIFY_MODES = ("auto", "exhaustive", "signature", "none")
 
 
@@ -117,9 +117,7 @@ class ResynthRequest:
             raise ValueError("unknown cut policy %r" % self.cut_policy)
         if self.max_nodes is not None and self.max_nodes < 1:
             raise ValueError("max_nodes must be >= 1")
-        if self.executor not in EXECUTORS:
-            raise ValueError("executor must be one of %s"
-                             % ", ".join(EXECUTORS))
+        check_executor(self.executor)
         if self.verify not in VERIFY_MODES:
             raise ValueError("verify must be one of %s"
                              % ", ".join(VERIFY_MODES))

@@ -48,8 +48,9 @@ from ..api.events import event_to_jsonable
 from ..api.request import (SolveRequest, merge_manifest_jobs,
                            relation_spec_to_jsonable)
 from ..api.report import REPORT_SCHEMA_VERSION, SolveReport
-from ..api.session import DEFAULT_MEMO_EXPORT_LIMIT, Session
+from ..api.session import Session
 from ..core.explore import CancelToken
+from ..core.jobs import MEMO_EXPORT_LIMIT, check_executor
 from ..resynth.report import RESYNTH_SCHEMA_VERSION, ResynthReport
 from ..resynth.request import ResynthRequest
 from .diskcache import DiskCache, fingerprint_payload
@@ -92,7 +93,7 @@ class SolveService:
     def __init__(self, session: Optional[Session] = None,
                  disk: Optional[DiskCache] = None, *,
                  flush_every: int = DEFAULT_FLUSH_EVERY,
-                 memo_export_limit: int = DEFAULT_MEMO_EXPORT_LIMIT,
+                 memo_export_limit: int = MEMO_EXPORT_LIMIT,
                  max_time_limit: Optional[float] = None
                  ) -> None:
         if flush_every < 1:
@@ -472,7 +473,7 @@ class SolveService:
 
         The body is manifest-shaped (a list of request dicts, or
         ``{"defaults", "jobs"}``) with two optional extras on the
-        object form: ``executor`` (``serial``/``thread``/``process``,
+        object form: ``executor`` (``serial``/``process``,
         default serial — the service already parallelises across
         worker processes) and ``workers``.  RAM- and disk-tier hits
         are peeled off before dispatch, identical misses dispatch once
@@ -485,9 +486,10 @@ class SolveService:
             data = dict(data)
             executor = data.pop("executor", "serial")
             workers = data.pop("workers", None)
-            if executor not in ("serial", "thread", "process"):
-                raise ServiceError("executor must be 'serial', "
-                                   "'thread' or 'process'")
+            try:
+                check_executor(executor)
+            except ValueError as exc:
+                raise ServiceError(str(exc)) from exc
             if workers is not None and (not isinstance(workers, int)
                                         or workers < 1):
                 raise ServiceError("workers must be a positive int")

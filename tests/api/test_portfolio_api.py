@@ -50,7 +50,7 @@ class TestRequestPlumbing:
             relation="fig1", strategy="portfolio",
             portfolio_racers=[{"strategy": "beam", "fifo_capacity": 8},
                               "dfs"],
-            portfolio_executor="thread")
+            portfolio_executor="process")
         data = json.loads(json.dumps(request.to_dict()))
         assert SolveRequest.from_dict(data) == request
 
@@ -95,9 +95,9 @@ class TestSessionPortfolio:
         # same race, same line-up -> same slot, whatever ran it.
         session = make_session()
         session.solve(portfolio_request(portfolio_executor="serial"))
-        threaded = session.solve(
-            portfolio_request(portfolio_executor="thread"))
-        assert threaded.cached is True
+        pooled = session.solve(
+            portfolio_request(portfolio_executor="process"))
+        assert pooled.cached is True
 
     def test_solve_iter_streams_the_race(self):
         session = make_session()

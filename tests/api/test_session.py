@@ -188,17 +188,6 @@ class TestSolveMany:
         assert all(r.solution is None for r in reports if r.ok)
         assert all(r.sop for r in reports if r.ok)
 
-    def test_thread_executor_is_data_only(self, session):
-        # Session managers are not thread-safe, so thread jobs solve a
-        # private PLA snapshot: reports are data-only like process ones.
-        requests = [SolveRequest(relation="fig1", cost=c, label=c)
-                    for c in ("size", "size2")]
-        reports = session.solve_many(requests, max_workers=2,
-                                     executor="thread")
-        assert [r.ok for r in reports] == [True, True]
-        assert all(r.solution is None for r in reports)
-        assert all(r.sop and r.pla for r in reports)
-
     def test_serial_executor_keeps_solutions(self, session):
         reports = session.solve_many(
             [SolveRequest(relation="fig1", label="t")],
@@ -228,9 +217,11 @@ class TestSolveMany:
         relation = session.relation("fig1")
         assert relation.is_compatible(report.solution.functions)
 
-    def test_bad_executor_rejected(self, session):
-        with pytest.raises(ValueError, match="executor"):
-            session.solve_many([], executor="carrier-pigeon")
+    @pytest.mark.parametrize("executor", ("carrier-pigeon", "thread"))
+    def test_bad_executor_rejected(self, session, executor):
+        with pytest.raises(ValueError,
+                           match="executor.*'serial', 'process'"):
+            session.solve_many([], executor=executor)
 
     def test_empty_batch(self, session):
         assert session.solve_many([]) == []
@@ -369,7 +360,7 @@ class TestPerJobMemoAttribution:
         requests = [SolveRequest(relation="fig1", label="a"),
                     SolveRequest(relation="fig1", label="b"),
                     SolveRequest(relation="fig1", label="c")]
-        reports = session.solve_many(requests, executor="thread")
+        reports = session.solve_many(requests, executor="process")
         assert [r.ok for r in reports] == [True] * 3
         stats = session.memo_stats()
         assert sum(r.stats["memo_hits"] for r in reports) \

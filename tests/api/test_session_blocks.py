@@ -61,12 +61,10 @@ class TestSessionSolveSharded:
         assert report.partition is None
         assert report.compatible
 
-    @pytest.mark.parametrize("executor", ("thread", "process"))
-    def test_pooled_blocks_byte_identical_to_serial(self, session,
-                                                    executor):
+    def test_pooled_blocks_byte_identical_to_serial(self, session):
         serial = session.solve(BLOCK_REQUEST)
         session.clear_cache()
-        pooled = session.solve(BLOCK_REQUEST, block_executor=executor)
+        pooled = session.solve(BLOCK_REQUEST, block_executor="process")
         assert pooled.cost == serial.cost
         assert pooled.sop == serial.sop
         assert pooled.solution is not None
@@ -85,17 +83,16 @@ class TestSessionSolveSharded:
     POOLED_CASES = [([(1, 1), (1, 1)], 1), ([(1, 2), (2, 1)], 7),
                     ([(2, 2), (3, 1)], 4), ([(3, 2), (2, 2)], 9)]
 
-    @pytest.mark.parametrize("executor", ("thread", "process"))
     @pytest.mark.parametrize("shapes,seed", POOLED_CASES)
     def test_pooled_blocks_match_serial_on_assorted_shapes(self, shapes,
-                                                           seed, executor):
+                                                           seed):
         session = Session()
         relation = block_structured_relation(shapes, seed=seed)
         session.add_relation("shaped", relation)
         request = SolveRequest(relation="shaped", max_explored=50)
         serial = session.solve(request)
         session.clear_cache()
-        pooled = session.solve(request, block_executor=executor)
+        pooled = session.solve(request, block_executor="process")
         assert pooled.ok and pooled.partition is not None
         assert pooled.cost == serial.cost
         assert pooled.sop == serial.sop
@@ -103,7 +100,7 @@ class TestSessionSolveSharded:
         assert relation.is_compatible(pooled.solution.functions)
 
     def test_pooled_solve_is_cached_and_shared_with_serial(self, session):
-        first = session.solve(BLOCK_REQUEST, block_executor="thread")
+        first = session.solve(BLOCK_REQUEST, block_executor="process")
         hits_before = session.cache_hits
         second = session.solve(BLOCK_REQUEST)  # serial call, same key
         assert session.cache_hits == hits_before + 1
@@ -125,9 +122,11 @@ class TestSessionSolveSharded:
         assert not off.cached
         assert off.partition is None
 
-    def test_bad_block_executor_rejected(self, session):
-        with pytest.raises(ValueError, match="block_executor"):
-            session.solve(BLOCK_REQUEST, block_executor="gpu")
+    @pytest.mark.parametrize("executor", ("gpu", "thread"))
+    def test_bad_block_executor_rejected(self, session, executor):
+        with pytest.raises(ValueError,
+                           match="block_executor.*'serial', 'process'"):
+            session.solve(BLOCK_REQUEST, block_executor=executor)
 
     def test_wide_block_refuses_pool_snapshot(self):
         session = Session(max_snapshot_inputs=3)
@@ -146,7 +145,7 @@ class TestSessionSolveSharded:
         # keep its trace (and the cache must never hold a trace-less
         # report under a record_trace key).
         report = session.solve(BLOCK_REQUEST.replace(record_trace=True),
-                               block_executor="thread")
+                               block_executor="process")
         assert report.trace is not None
         assert report.trace[0]["kind"] == "partition"
         again = session.solve(BLOCK_REQUEST.replace(record_trace=True))
@@ -177,7 +176,7 @@ class TestSessionSolveSharded:
     def test_pooled_trajectory_matches_serial(self, session):
         serial = session.solve(BLOCK_REQUEST)
         session.clear_cache()
-        pooled = session.solve(BLOCK_REQUEST, block_executor="thread")
+        pooled = session.solve(BLOCK_REQUEST, block_executor="process")
         # The anytime trajectory shares the cache slot with serial
         # reports, so costs and cumulative explored counts must match
         # (wall stamps are worker-local and excluded, like any timing).
@@ -215,7 +214,7 @@ class TestSessionSolveSharded:
 
     def test_pooled_blocks_use_session_memo(self, session):
         before = session.memo_stats()["stores"]
-        session.solve(BLOCK_REQUEST, block_executor="thread")
+        session.solve(BLOCK_REQUEST, block_executor="process")
         stats = session.memo_stats()
         # Worker counters merge back into the session store.
         assert stats["misses"] + stats["hits"] > 0

@@ -1,11 +1,16 @@
 """Session.solve_iter and batch cancellation (the anytime service API)."""
 
+import threading
+import time
+
 import pytest
 
 from repro.api import (CancelToken, Session, SolveRequest,
                        register_strategy, strategy_names,
                        strategy_registry)
+from repro.benchdata.brgen import random_relation
 from repro.core import FifoStrategy, make_strategy
+from repro.core.jobs import EXECUTORS
 
 
 def drive(gen):
@@ -140,23 +145,44 @@ class TestSolveManyCancellation:
                                      cancel=CancelToken())
         assert all(report.ok for report in reports)
 
-    def test_thread_batch_token_reaches_workers(self, session):
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_cancel_reaches_running_jobs(self, executor):
+        # Four exhaustive jobs of about two seconds each on two
+        # workers: the cancel at 0.5 s must stop the running ones
+        # cooperatively (best-so-far, stopped="cancelled") and skip the
+        # rest, on either executor, instead of waiting them out.
+        session = Session()
+        session.add_relation("hard", random_relation(
+            7, 5, seed=18, flexibility=0.6))
+        requests = [SolveRequest(relation="hard", cost=cost, label=cost,
+                                 max_explored=3000, fifo_capacity=None,
+                                 quick_on_subrelations=True)
+                    for cost in ("size", "size2", "cubes", "literals")]
         token = CancelToken()
-        token.cancel()
-        # Thread workers share the token: every search stops right
-        # after its guaranteed quick solution, reporting best-so-far.
-        reports = session.solve_many(self.requests(), executor="thread",
-                                     cancel=token)
+        timer = threading.Timer(0.5, token.cancel)
+        start = time.perf_counter()
+        timer.start()
+        try:
+            reports = session.solve_many(requests, max_workers=2,
+                                         executor=executor, cancel=token)
+        finally:
+            timer.cancel()
+        assert time.perf_counter() - start < 3.5
         assert len(reports) == 4
+        assert any(report.ok for report in reports)
         for report in reports:
-            assert report.ok and report.compatible
-            assert report.stopped == "cancelled"
-            assert report.stats["relations_explored"] == 0
+            if report.ok:
+                assert report.stopped == "cancelled"
+                assert report.compatible
+            else:
+                assert "cancelled before start" in report.error
         # Regression: those best-so-far results must not poison the
-        # cache for later uncancelled batches.
-        fresh = session.solve_many(self.requests(), executor="thread")
-        assert all(r.ok and r.stopped != "cancelled" and not r.cached
-                   for r in fresh)
+        # cache; a pre-cancelled rerun finds nothing to serve.
+        again = CancelToken()
+        again.cancel()
+        rerun = session.solve_many(requests, executor=executor,
+                                   cancel=again)
+        assert not any(report.cached for report in rerun)
 
     def test_process_batch_cancels_undispatched(self, session):
         token = CancelToken()

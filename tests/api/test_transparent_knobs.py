@@ -1,9 +1,11 @@
 """Property test: the transparent knobs never change an answer.
 
-Memoisation and the block executor are execution details.  On any small
-seeded relation, every combination must return a solution that is
-compatible with the relation, and all combinations must agree on the
-cost and the SOP.
+Memoisation and the executors are execution details.  On any small
+seeded relation, every combination of memo and block executor must
+return a solution that is compatible with the relation, and all
+combinations must agree on the cost and the SOP; so must a batch run
+serially or on worker processes.  A portfolio race is only checked for
+compatibility: process timing may shift which shared bound prunes what.
 """
 
 from hypothesis import given, settings
@@ -11,13 +13,14 @@ from hypothesis import strategies as st
 
 from repro.api import Session, SolveRequest
 from repro.benchdata.brgen import block_structured_relation, random_relation
+from repro.core.jobs import EXECUTORS
 from repro.core.relio import parse_relation, write_relation
 
 #: (memo, block executor) combinations; ``memo=None`` is the session
 #: default (memo on).
 CONFIGS = [(memo, executor)
            for memo in (None, False)
-           for executor in ("serial", "thread")]
+           for executor in EXECUTORS]
 
 
 @st.composite
@@ -55,3 +58,35 @@ def test_memo_and_block_executor_never_change_the_answer(relation,
             (memo, executor)
         answers.add((report.cost, report.sop))
     assert len(answers) == 1, answers
+
+
+@settings(max_examples=8, deadline=None)
+@given(relation=small_relations())
+def test_batch_executor_never_changes_the_answer(relation):
+    spec = {"kind": "pla", "text": write_relation(relation)}
+    requests = [SolveRequest(relation=spec, strategy=strategy,
+                             max_explored=20, label=strategy)
+                for strategy in ("bfs", "dfs")]
+    answers = {}
+    for executor in EXECUTORS:
+        reports = Session().solve_many(requests, executor=executor)
+        assert all(report.ok for report in reports), executor
+        answers[executor] = [(report.cost, report.sop)
+                             for report in reports]
+    assert answers["serial"] == answers["process"], answers
+
+
+@settings(max_examples=8, deadline=None)
+@given(relation=small_relations())
+def test_portfolio_executor_answers_are_compatible(relation):
+    pla = write_relation(relation)
+    for executor in EXECUTORS:
+        subject = parse_relation(pla)
+        report = Session().solve(
+            SolveRequest(strategy="portfolio", portfolio_racers="bfs,dfs",
+                         max_explored=20, decompose=False,
+                         portfolio_executor=executor),
+            relation=subject)
+        assert report.ok, (executor, report.error)
+        assert report.portfolio["executor"] == executor
+        assert subject.is_compatible(report.solution.functions), executor

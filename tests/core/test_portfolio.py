@@ -1,18 +1,17 @@
 """Portfolio racing: spec normalisation, bound sharing, executors,
 winner attribution, and the cancellation races."""
 
+import multiprocessing
 import os
-import threading
 import time
 
 import pytest
 
 from repro.benchdata.brsuite import instance_by_name
 from repro.core import BrelOptions, BrelSolver, CancelToken
+from repro.core.jobs import EXECUTORS
 from repro.core.portfolio import (BoundChannel, DEFAULT_RACERS,
                                   normalize_racers, racers_cache_key)
-
-EXECUTORS = ("serial", "thread", "process")
 
 #: Keys every racer summary row must carry (the report consumers'
 #: contract — the CLI table and the service request log read these).
@@ -89,7 +88,7 @@ class TestEagerOptionValidation:
 
     def test_executor_requires_portfolio_strategy(self):
         with pytest.raises(ValueError, match="strategy='portfolio'"):
-            BrelOptions(strategy="dfs", portfolio_executor="thread")
+            BrelOptions(strategy="dfs", portfolio_executor="process")
 
     def test_bad_racer_combo_fails_at_construction(self):
         # The beam width rule fires while the options are built, not
@@ -99,10 +98,12 @@ class TestEagerOptionValidation:
                         portfolio_racers=[{"strategy": "beam",
                                            "fifo_capacity": 0}])
 
-    def test_bogus_executor_rejected(self):
-        with pytest.raises(ValueError, match="portfolio_executor"):
+    @pytest.mark.parametrize("executor", ("fork", "thread"))
+    def test_bogus_executor_rejected(self, executor):
+        with pytest.raises(ValueError,
+                           match="portfolio_executor.*'serial', 'process'"):
             BrelOptions(strategy="portfolio",
-                        portfolio_executor="fork")
+                        portfolio_executor=executor)
 
     def test_did_you_mean_knows_portfolio(self):
         with pytest.raises(ValueError, match="portfolio"):
@@ -171,7 +172,7 @@ class TestRaceExecutors:
         # The serial driver interleaves racers deterministically, so
         # the raced cost reproduces the single exhaustive solve
         # exactly.  Only serial gets the == claim: the relaxed-MISF
-        # prune bound is heuristic, and with thread/process timing a
+        # prune bound is heuristic, and with process timing a
         # shared incumbent can prune a subtree the solo run would have
         # explored, shifting the exhaustive cost by a point or two.
         relation = racing_relation()
@@ -185,8 +186,7 @@ class TestRaceExecutors:
         assert raced.solution.cost == single.solution.cost
         assert relation.is_compatible(raced.solution.functions)
 
-    @pytest.mark.parametrize("executor", ("thread", "process"))
-    def test_parallel_race_is_compatible_and_improving(self, executor):
+    def test_process_race_is_compatible_and_improving(self):
         # Whatever the interleaving, the race must end compatible and
         # never worse than the shared starting incumbent (the quick
         # solution every racer begins from).
@@ -196,7 +196,7 @@ class TestRaceExecutors:
         raced = BrelSolver(BrelOptions(
             strategy="portfolio", portfolio_racers="dfs,best-first",
             max_explored=None, fifo_capacity=None,
-            portfolio_executor=executor)).solve(relation)
+            portfolio_executor="process")).solve(relation)
         assert raced.solution.cost <= quick.solution.cost
         assert relation.is_compatible(raced.solution.functions)
         assert raced.portfolio["winner"] is not None
@@ -265,7 +265,7 @@ class TestRaceExecutors:
         finally:
             strategy_registry.unregister("crashy-test")
 
-    @pytest.mark.parametrize("executor", ("serial", "thread"))
+    @pytest.mark.parametrize("executor", EXECUTORS)
     def test_failed_racer_is_isolated(self, crashy_strategy, executor):
         result = BrelSolver(BrelOptions(
             strategy="portfolio",
@@ -300,7 +300,7 @@ class TestRaceExecutors:
 # dead racer process)
 # ----------------------------------------------------------------------
 class TestCancellationRaces:
-    @pytest.mark.parametrize("executor", ("serial", "thread"))
+    @pytest.mark.parametrize("executor", EXECUTORS)
     def test_deadline_mid_race_returns_best_so_far(self, executor):
         relation = instance_by_name("vtx").build()
         result = BrelSolver(BrelOptions(
@@ -325,29 +325,28 @@ class TestCancellationRaces:
         assert result.stopped == "cancelled"
         assert relation.is_compatible(result.solution.functions)
 
-    def test_abandoned_stream_stops_racer_threads(self):
+    def test_abandoned_stream_stops_racer_processes(self):
         """Closing the event stream mid-race (the SSE-disconnect path)
-        must trip every racer token and join the threads — no orphan
-        racer may keep burning CPU on a dead race."""
+        must trip the racers' cancel flag and reap their workers — no
+        orphan racer may keep burning CPU on a dead race."""
         relation = instance_by_name("vtx").build()
         solver = BrelSolver(BrelOptions(
             strategy="portfolio",
             portfolio_racers=[{"strategy": "best-first",
                                "max_explored": None,
                                "fifo_capacity": None}],
-            portfolio_executor="thread"))
+            portfolio_executor="process"))
         stream = solver.iter_events(relation)
         for _ in range(3):
             next(stream)
         stream.close()
         deadline = time.monotonic() + 10.0
         while time.monotonic() < deadline:
-            racers = [t for t in threading.enumerate()
-                      if t.name.startswith("portfolio-racer")]
+            racers = multiprocessing.active_children()
             if not racers:
                 break
             time.sleep(0.05)
-        assert not racers, "racer threads survived the stream close"
+        assert not racers, "racer processes survived the stream close"
 
     def test_dead_process_racer_surfaces_as_failed_racer(self,
                                                          monkeypatch):
@@ -355,15 +354,14 @@ class TestCancellationRaces:
         if multiprocessing.get_start_method() != "fork":
             pytest.skip("patched racer entry point needs fork")
         from repro.core import portfolio as portfolio_mod
-        real_main = portfolio_mod._process_racer_main
+        real_job = portfolio_mod._racer_job
 
-        def dying_main(index, payload, bound_value, cancel_value, msgq):
-            if index == 0:
+        def dying_job(payload, ctx):
+            if payload["request"].strategy == "bfs":
                 os._exit(3)  # die without reporting anything
-            real_main(index, payload, bound_value, cancel_value, msgq)
+            return real_job(payload, ctx)
 
-        monkeypatch.setattr(portfolio_mod, "_process_racer_main",
-                            dying_main)
+        monkeypatch.setattr(portfolio_mod, "_racer_job", dying_job)
         relation = small_relation()
         result = BrelSolver(BrelOptions(
             strategy="portfolio", portfolio_racers="bfs,dfs",
@@ -379,7 +377,7 @@ class TestCancellationRaces:
 # Executor fallbacks
 # ----------------------------------------------------------------------
 class TestExecutorFallbacks:
-    def test_unregistered_cost_falls_back_to_threads(self):
+    def test_unregistered_cost_falls_back_to_serial(self):
         def custom_cost(mgr, functions):
             return float(sum(mgr.size(f) for f in functions))
 
@@ -389,16 +387,15 @@ class TestExecutorFallbacks:
             portfolio_executor="process")).solve(small_relation())
         summary = result.portfolio
         assert summary["requested_executor"] == "process"
-        assert summary["executor"] == "thread"
+        assert summary["executor"] == "serial"
         assert "registered by name" in summary["note"]
 
     def test_wide_relation_falls_back_to_serial(self, monkeypatch):
-        from repro.core import portfolio as portfolio_mod
-        monkeypatch.setattr(portfolio_mod,
-                            "MAX_RACE_SNAPSHOT_INPUTS", 2)
+        from repro.core import jobs
+        monkeypatch.setattr(jobs, "MAX_SNAPSHOT_INPUTS", 2)
         result = BrelSolver(BrelOptions(
             strategy="portfolio", portfolio_racers="bfs,dfs",
-            portfolio_executor="thread")).solve(racing_relation())
+            portfolio_executor="process")).solve(racing_relation())
         summary = result.portfolio
         assert summary["executor"] == "serial"
         assert "snapshot guard" in summary["note"]

@@ -71,12 +71,6 @@ class TestEndToEnd:
 
 
 class TestExecutorsAndPolicies:
-    def test_thread_executor_matches_serial(self):
-        serial = run("s298")
-        threaded = run("s298", executor="thread", workers=2)
-        assert threaded.ok and threaded.equivalent is True
-        assert threaded.literals_after == serial.literals_after
-
     def test_process_executor_matches_serial(self):
         serial = run("s27")
         pooled = run("s27", executor="process", workers=2)

@@ -51,6 +51,7 @@ class TestRequestValidation:
         {"cut_policy": "magic"},
         {"max_nodes": 0},
         {"executor": "fork"},
+        {"executor": "thread"},
         {"verify": "hope"},
         {"verify_exhaustive_limit": 17},
         {"verify_vectors": 0},
@@ -83,7 +84,7 @@ class TestRequestWire:
     def test_json_round_trip(self):
         request = ResynthRequest(circuit="s27", passes=3, window=6,
                                  cut_policy="reconvergent",
-                                 executor="thread", label="rt")
+                                 executor="process", label="rt")
         assert ResynthRequest.from_json(request.to_json()) == request
 
     def test_unknown_fields_rejected(self):
@@ -112,7 +113,7 @@ class TestOptionsKey:
     def test_non_result_fields_do_not_split_the_key(self):
         base = ResynthRequest(circuit="s27")
         assert base.options_key() == ResynthRequest(
-            circuit="s27", executor="thread", workers=3,
+            circuit="s27", executor="process", workers=3,
             label="other").options_key()
 
     def test_result_fields_split_the_key(self):

@@ -135,11 +135,13 @@ class TestBatchEndpoint:
         assert result["tiers"] == ["engine", "ram"]
         assert len(result["reports"]) == 2
 
-    def test_batch_bad_executor_is_400(self, served, fig1_request):
+    @pytest.mark.parametrize("executor", ("quantum", "thread"))
+    def test_batch_bad_executor_is_400(self, served, fig1_request,
+                                       executor):
         base, _ = served
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             post(base + "/batch", {"jobs": [dict(fig1_request)],
-                                   "executor": "quantum"})
+                                   "executor": executor})
         assert excinfo.value.code == 400
 
 

@@ -1,7 +1,7 @@
 """Portfolio racing through the service layer: race summaries in the
 request log and /stats, and the SSE-disconnect cancellation path."""
 
-import threading
+import multiprocessing
 import time
 
 from repro.service import SolveService
@@ -65,7 +65,7 @@ class TestPortfolioStream:
     def test_disconnect_mid_race_stops_every_racer(self):
         """A client hanging up mid-portfolio-stream must trip every
         racer's token: the race winds down instead of orphaned racer
-        threads burning CPU on a dead request."""
+        processes burning CPU on a dead request."""
         service = SolveService()
         stream = service.solve_stream({
             "relation": {"kind": "bench", "name": "vtx"},
@@ -73,7 +73,7 @@ class TestPortfolioStream:
             "portfolio_racers": [{"strategy": "best-first",
                                   "max_explored": None,
                                   "fifo_capacity": None}],
-            "portfolio_executor": "thread"})
+            "portfolio_executor": "process"})
         for _ in range(3):
             next(stream)
         stream.close()
@@ -81,12 +81,11 @@ class TestPortfolioStream:
         deadline = time.monotonic() + 10.0
         racers = []
         while time.monotonic() < deadline:
-            racers = [t for t in threading.enumerate()
-                      if t.name.startswith("portfolio-racer")]
+            racers = multiprocessing.active_children()
             if not racers:
                 break
             time.sleep(0.05)
-        assert not racers, "racer threads survived the disconnect"
+        assert not racers, "racer processes survived the disconnect"
         # The cancelled partial never entered a cache tier.
         stats = service.stats()
         assert stats["portfolio"]["races"] == 0

@@ -206,6 +206,9 @@ class TestBatch:
         with pytest.raises(ServiceError, match="executor"):
             SolveService().batch({"jobs": [dict(fig1_request)],
                                   "executor": "gpu"})
+        with pytest.raises(ServiceError, match="'serial', 'process'"):
+            SolveService().batch({"jobs": [dict(fig1_request)],
+                                  "executor": "thread"})
         with pytest.raises(ServiceError, match="workers"):
             SolveService().batch({"jobs": [dict(fig1_request)],
                                   "workers": 0})

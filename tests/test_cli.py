@@ -267,6 +267,14 @@ class TestBatchCommand:
         reports = json.loads(out.read_text())
         assert reports[0]["ok"]
 
+    def test_batch_thread_executor_is_a_usage_error(self, relation_file,
+                                                    tmp_path, capsys):
+        path = self._write_manifest(tmp_path, relation_file)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["batch", path, "--executor", "thread"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'thread'" in capsys.readouterr().err
+
     def test_batch_bad_manifest(self, tmp_path, capsys):
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps({"no-jobs": []}))
@@ -442,7 +450,7 @@ class TestResynthCommand:
 
     def test_executor_flag_round_trips(self, capsys):
         assert main(["resynth", "s27", "--quick",
-                     "--executor", "thread", "--workers", "2",
+                     "--executor", "process", "--workers", "2",
                      "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["request"]["executor"] == "thread"
+        assert report["request"]["executor"] == "process"
