@@ -28,7 +28,12 @@ Design notes
 * The computed table is **bounded**: when it reaches ``cache_limit``
   entries it is flushed wholesale (the CUDD-style lossy-cache policy —
   results are always recomputable from the unique table).  Hit, miss,
-  eviction and flush counters are exposed through :meth:`stats`.
+  eviction and flush counters are exposed through :meth:`stats`.  Besides
+  node-valued operation results the table holds *result entries*
+  (:meth:`lookup_result` / :meth:`store_result`): ISOP covers, exact
+  ISF minimisations, and the memo layer's relation signatures and
+  template instantiations, all under the same bound, flush and
+  ``collect``.
 * Memory is reclaimable: roots survive :meth:`collect` (a mark-and-sweep
   pass that compacts the node arrays) only when reachable from a
   :meth:`pin`\\ ned node, a variable, or an explicit extra root.  ``collect``
@@ -41,7 +46,8 @@ Only the manager lives here; the ergonomic operator-overloaded wrapper is
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (Any, Dict, Iterable, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 #: Node index of the constant FALSE function.
 FALSE = 0
@@ -63,6 +69,21 @@ _OP_PERMUTE = 7
 _OP_OR = 8
 _OP_COFACTOR = 9
 _OP_ANDNOT = 10
+
+# Key tags of the computed table's result entries (values are tuples,
+# not nodes), read and written through lookup_result / store_result.
+#: ``(ISOP_TAG, lower, upper) -> (cover tree, node)``
+#: (see :mod:`repro.bdd.isop`).
+ISOP_TAG = 11
+#: ``(MINIMIZE_TAG, minimiser name, on, dc) -> (node, cover)``
+#: (see :func:`repro.core.minimize.minimize_with_cover`).
+MINIMIZE_TAG = 12
+#: ``(SIGNATURE_TAG, node, inputs, outputs) -> relation signature``
+#: (see :meth:`repro.core.BooleanRelation.signature`).
+SIGNATURE_TAG = 13
+#: ``(INSTANTIATE_TAG, solution template, support) -> nodes``
+#: (see :func:`repro.core.memo.instantiate_solution`).
+INSTANTIATE_TAG = 14
 
 #: Default computed-table size bound (entries) before a wholesale flush.
 DEFAULT_CACHE_LIMIT = 1 << 18
@@ -163,6 +184,10 @@ class BddManager:
         self._cache_misses = 0
         self._cache_evictions = 0
         self._cache_flushes = 0
+        # [hits, misses] of result-entry lookups: ISOP and minimisation
+        # entries, then signature and instantiation entries.
+        self._isop_lookups = [0, 0]
+        self._template_lookups = [0, 0]
         # Garbage collection state: pinned roots survive collect().
         self._pins: Dict[int, int] = {}
         self._gc_runs = 0
@@ -300,8 +325,27 @@ class BddManager:
             self._cache_hits += 1
         return hit
 
-    def _cache_put(self, key: Tuple, value: int) -> None:
-        """Counted computed-table insert with bound enforcement."""
+    def lookup_result(self, key: Tuple) -> Optional[Any]:
+        """Look up a result entry; ``key[0]`` is one of the result tags.
+
+        ISOP and minimisation lookups feed the ``isop_hits`` /
+        ``isop_misses`` counters, signature and instantiation lookups
+        ``template_hits`` / ``template_misses``; none feeds the
+        operation counters.
+        """
+        hit = self._cache.get(key)
+        lookups = (self._isop_lookups if key[0] <= MINIMIZE_TAG
+                   else self._template_lookups)
+        lookups[hit is None] += 1
+        return hit
+
+    def store_result(self, key: Tuple, value: Any) -> None:
+        """Insert a computed-table entry, flushing the table at its bound.
+
+        Result entries for :meth:`lookup_result` count toward
+        ``cache_limit`` like operation results; their node ids die with
+        the table in a flush, :meth:`clear_caches` or :meth:`collect`.
+        """
         cache = self._cache
         cache[key] = value
         if len(cache) >= self._cache_limit:
@@ -313,8 +357,11 @@ class BddManager:
         Keys: ``nodes`` / ``peak_nodes`` / ``num_vars`` / ``unique_entries``
         (node store), ``cache_entries`` / ``cache_limit`` / ``cache_hits`` /
         ``cache_misses`` / ``cache_evictions`` / ``cache_flushes``
-        (computed table), ``pinned_nodes`` / ``gc_runs`` /
-        ``gc_reclaimed_nodes`` (garbage collection).
+        (computed table), ``isop_hits`` / ``isop_misses`` (its ISOP and
+        exact-minimisation entries), ``template_hits`` /
+        ``template_misses`` (its signature and instantiation entries),
+        ``pinned_nodes`` / ``gc_runs`` / ``gc_reclaimed_nodes`` (garbage
+        collection).
         """
         nodes = len(self._level)
         if nodes > self._peak_nodes:
@@ -330,6 +377,10 @@ class BddManager:
             "cache_misses": self._cache_misses,
             "cache_evictions": self._cache_evictions,
             "cache_flushes": self._cache_flushes,
+            "isop_hits": self._isop_lookups[0],
+            "isop_misses": self._isop_lookups[1],
+            "template_hits": self._template_lookups[0],
+            "template_misses": self._template_lookups[1],
             "pinned_nodes": len(self._pins),
             "gc_runs": self._gc_runs,
             "gc_reclaimed_nodes": self._gc_reclaimed,
@@ -1321,7 +1372,7 @@ class BddManager:
             return var_nodes[level] if node is None else node
 
         result = self._rebuild(f, guard)
-        self._cache_put(key, result)
+        self.store_result(key, result)
         return result
 
     def permute(self, f: int, mapping: Dict[int, int]) -> int:
@@ -1343,7 +1394,7 @@ class BddManager:
             return var_nodes[mapping.get(level, level)]
 
         result = self._rebuild(f, guard)
-        self._cache_put(key, result)
+        self.store_result(key, result)
         return result
 
     def swap_vars(self, f: int, var_a: int, var_b: int) -> int:

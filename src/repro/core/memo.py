@@ -39,8 +39,8 @@ from collections import OrderedDict
 from typing import (Any, Dict, Iterable, List, NamedTuple, Optional,
                     Sequence, Tuple)
 
-from ..bdd.isop import isop
-from ..bdd.manager import FALSE, TRUE, BddManager
+from ..bdd.isop import isop, literal
+from ..bdd.manager import FALSE, INSTANTIATE_TAG, TRUE, BddManager
 
 #: Default entry bound of a :class:`MemoStore`.
 DEFAULT_MEMO_CAPACITY = 4096
@@ -56,6 +56,26 @@ SolutionTemplate = Tuple[CoverTemplate, ...]
 #: they computed anyway instead of re-deriving one.
 VarCube = Tuple[Tuple[int, bool], ...]
 VarCover = Tuple[VarCube, ...]
+
+
+def renumber_cover(cover: Iterable[Iterable[Tuple[int, bool]]],
+                   index_of: Any = None) -> Tuple[RankCube, ...]:
+    """A cover with every literal's index mapped through ``index_of``.
+
+    ``index_of`` is a level -> rank dict, a rank -> level sequence, or
+    ``None`` for the identity.  Each cube comes out sorted by index and
+    built from :func:`~repro.bdd.isop.literal`'s interned pairs, so the
+    many covers and templates a session keeps share their literals.
+    Raises ``KeyError`` for an index outside a dict ``index_of`` (see
+    :func:`cover_template`).
+    """
+    if index_of is None:
+        return tuple(tuple(sorted([literal(index, polarity)
+                                   for index, polarity in cube]))
+                     for cube in cover)
+    return tuple(tuple(sorted([literal(index_of[index], polarity)
+                               for index, polarity in cube]))
+                 for cube in cover)
 
 
 class Signature(NamedTuple):
@@ -90,9 +110,7 @@ def cover_template(mgr: BddManager, node: int,
     signed subproblem itself).
     """
     cover, _ = isop(mgr, node, node)
-    return tuple(tuple(sorted((rank_of_var[var], polarity)
-                              for var, polarity in cube.items()))
-                 for cube in cover)
+    return renumber_cover((cube.items() for cube in cover), rank_of_var)
 
 
 def template_from_var_cover(cover: VarCover,
@@ -102,17 +120,13 @@ def template_from_var_cover(cover: VarCover,
     Raises ``KeyError`` for out-of-support variables (see
     :func:`cover_template`).
     """
-    return tuple(tuple(sorted((rank_of_var[var], polarity)
-                              for var, polarity in cube))
-                 for cube in cover)
+    return renumber_cover(cover, rank_of_var)
 
 
 def var_cover_from_template(cover: CoverTemplate,
                             support: Sequence[int]) -> VarCover:
     """The inverse renumbering: rank template back to variable level."""
-    return tuple(tuple((support[rank], polarity)
-                       for rank, polarity in cube)
-                 for cube in cover)
+    return renumber_cover(cover, support)
 
 
 def solution_template(mgr: BddManager, functions: Sequence[int],
@@ -156,9 +170,19 @@ def instantiate_var_cover(mgr: BddManager, cover: VarCover) -> int:
 
 def instantiate_solution(mgr: BddManager, covers: SolutionTemplate,
                          support: Sequence[int]) -> Tuple[int, ...]:
-    """Rebuild a per-output template into ``mgr``; one node per output."""
-    return tuple(instantiate_cover(mgr, cover, support)
-                 for cover in covers)
+    """Rebuild a per-output template into ``mgr``; one node per output.
+
+    The nodes are kept in the manager's computed table, so the same
+    template over the same support — a memo hit repeated in one
+    manager — is rebuilt once.
+    """
+    key = (INSTANTIATE_TAG, covers, tuple(support))
+    functions = mgr.lookup_result(key)
+    if functions is None:
+        functions = tuple(instantiate_cover(mgr, cover, support)
+                          for cover in covers)
+        mgr.store_result(key, functions)
+    return functions
 
 
 # ----------------------------------------------------------------------

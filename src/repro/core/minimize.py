@@ -22,11 +22,12 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..bdd.gencof import constrain, restrict
 from ..bdd.isop import isop
-from ..bdd.manager import FALSE, TRUE
+from ..bdd.manager import FALSE, MINIMIZE_TAG, TRUE
 from ..bdd.safemin import squeeze
 from .isf import Isf
 from .memo import (MemoStore, VarCover, instantiate_var_cover,
-                   template_from_var_cover, var_cover_from_template)
+                   renumber_cover, template_from_var_cover,
+                   var_cover_from_template)
 
 #: Minimiser signature: ISF in, implementation node out.
 IsfMinimizer = Callable[[Isf], int]
@@ -186,7 +187,7 @@ def _run_with_cover(isf: Isf, minimizer: IsfMinimizer,
     else:
         node = minimizer(isf)
         cover, _ = isop(isf.mgr, node, node)
-    return node, tuple(tuple(sorted(cube.items())) for cube in cover)
+    return node, renumber_cover(cube.items() for cube in cover)
 
 
 def minimize_with_cover(isf: Isf, minimizer: IsfMinimizer,
@@ -197,18 +198,30 @@ def minimize_with_cover(isf: Isf, minimizer: IsfMinimizer,
     The cover lets callers assemble whole-solution templates (one cover
     per output, renumbered to the *relation's* support) without
     re-extracting anything.
+
+    An exact repeat — same minimiser, same ``on`` and ``dc`` nodes in
+    the same manager — is served from the manager's computed table
+    before any signature is computed; ``memo`` serves the renamed,
+    cross-manager and cross-process repeats behind it.
     """
+    mgr = isf.mgr
+    exact_key = (MINIMIZE_TAG, minimizer_name, isf.on, isf.dc)
+    result = mgr.lookup_result(exact_key)
+    if result is not None:
+        return result
     sig = isf.signature()
     key = ("isf", sig.key, minimizer_name)
     template = memo.get(key)
     if template is not None:
         cover = var_cover_from_template(template, sig.support)
-        return instantiate_var_cover(isf.mgr, cover), cover
-    node, cover = _run_with_cover(isf, minimizer, minimizer_name)
-    rank_of_var = sig.rank_map()
-    memo.put_if_mappable(
-        key, lambda: template_from_var_cover(cover, rank_of_var))
-    return node, cover
+        result = (instantiate_var_cover(mgr, cover), cover)
+    else:
+        result = _run_with_cover(isf, minimizer, minimizer_name)
+        rank_of_var = sig.rank_map()
+        memo.put_if_mappable(
+            key, lambda: template_from_var_cover(result[1], rank_of_var))
+    mgr.store_result(exact_key, result)
+    return result
 
 
 def minimize_memoised(isf: Isf, minimizer: IsfMinimizer,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
-from ..bdd.manager import FALSE, TRUE, BddManager
+from ..bdd.manager import FALSE, SIGNATURE_TAG, TRUE, BddManager
 from .isf import Isf, Misf
 from .memo import Signature
 
@@ -158,31 +158,41 @@ class BooleanRelation:
 
         Returns ``None`` (unmemoisable) when the node mentions a
         variable outside the relation's frame.  The result is cached on
-        the instance (relations are immutable).
+        the instance (relations are immutable) and in the manager's
+        computed table, for the next relation object over the same node
+        and frame.
         """
         sig = self._sig
         if sig is None:
             mgr = self.mgr
-            support = mgr.support(self.node)
-            input_set = set(self.inputs)
-            output_position = {var: position
-                               for position, var in enumerate(self.outputs)}
-            roles: List[int] = []
-            ranks: Dict[int, int] = {}
-            for rank, var in enumerate(support):
-                ranks[var] = rank
-                if var in input_set:
-                    roles.append(-1)
-                elif var in output_position:
-                    roles.append(output_position[var])
-                else:
-                    self._sig = _NO_SIGNATURE
-                    return None
-            fingerprint = mgr.fingerprints((self.node,), ranks)[0]
-            sig = Signature(("rel", len(self.outputs), tuple(roles),
-                             fingerprint), support)
+            key = (SIGNATURE_TAG, self.node, self.inputs, self.outputs)
+            sig = mgr.lookup_result(key)
+            if sig is None:
+                sig = self._compute_signature()
+                mgr.store_result(key, sig)
             self._sig = sig
         return None if sig is _NO_SIGNATURE else sig
+
+    def _compute_signature(self) -> Signature:
+        """The signature, or ``_NO_SIGNATURE`` for out-of-frame nodes."""
+        mgr = self.mgr
+        support = mgr.support(self.node)
+        input_set = set(self.inputs)
+        output_position = {var: position
+                           for position, var in enumerate(self.outputs)}
+        roles: List[int] = []
+        ranks: Dict[int, int] = {}
+        for rank, var in enumerate(support):
+            ranks[var] = rank
+            if var in input_set:
+                roles.append(-1)
+            elif var in output_position:
+                roles.append(output_position[var])
+            else:
+                return _NO_SIGNATURE
+        fingerprint = mgr.fingerprints((self.node,), ranks)[0]
+        return Signature(("rel", len(self.outputs), tuple(roles),
+                          fingerprint), support)
 
     # ------------------------------------------------------------------
     # Set algebra

@@ -155,6 +155,14 @@ class TestBoundedEngineAcrossSolves:
         assert "shape:2x2" in stats
         assert stats["shape:2x2"]["num_vars"] == 4
 
+    def test_engine_stats_count_isop_table_lookups(self):
+        session = make_session()
+        before = session.engine_stats()["shape:2x2"]
+        assert before["isop_hits"] == before["isop_misses"] == 0
+        session.solve(SolveRequest(relation="fig1"))
+        after = session.engine_stats()["shape:2x2"]
+        assert after["isop_misses"] > 0
+
 
 class TestSnapshotGuard:
     def test_wide_relation_rejected_for_pool_executors(self):

@@ -5,9 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bdd import FALSE, TRUE, BddManager
-from repro.core import (Isf, MINIMIZERS, Misf,
+from repro.core import (Isf, MINIMIZERS, MemoStore, Misf,
                         eliminate_nonessential_variables, get_minimizer,
                         minimize_exact_cubes, minimize_isop, solve_misf)
+from repro.core.minimize import minimize_restrict, minimize_with_cover
 
 from ..conftest import bdd_from_tt
 
@@ -158,3 +159,84 @@ def test_elimination_preserves_interval_validity(on_tt, dc_tt):
     assert mgr.implies(isf.on, reduced.on)
     assert mgr.implies(reduced.upper, isf.upper)
     assert mgr.implies(reduced.on, reduced.upper)
+
+
+class TestExactMinimisationEntry:
+    """``minimize_with_cover`` serves exact repeats from the manager."""
+
+    @staticmethod
+    def count_signatures(monkeypatch):
+        calls = []
+        original = Isf.signature
+
+        def counted(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(Isf, "signature", counted)
+        return calls
+
+    def test_exact_repeat_skips_the_signature(self, monkeypatch):
+        calls = self.count_signatures(monkeypatch)
+        mgr = fresh_mgr()
+        store = MemoStore()
+        first = minimize_with_cover(make_isf(mgr, 0x96, 0x21),
+                                    minimize_isop, store, "isop")
+        assert len(calls) == 1
+        hits = mgr.stats()["isop_hits"]
+        # A new Isf over the same nodes: nothing cached on the object.
+        again = minimize_with_cover(make_isf(mgr, 0x96, 0x21),
+                                    minimize_isop, store, "isop")
+        assert again == first
+        assert len(calls) == 1
+        assert mgr.stats()["isop_hits"] == hits + 1
+        assert (store.hits, store.misses) == (0, 1)
+        # Keyed by minimiser: another name is a separate entry.
+        minimize_with_cover(make_isf(mgr, 0x96, 0x21), minimize_restrict,
+                            store, "restrict")
+        assert len(calls) == 2
+
+    def test_memo_hit_fills_the_entry(self, monkeypatch):
+        store = MemoStore()
+        cold = minimize_with_cover(make_isf(fresh_mgr(), 0x5A, 0x81),
+                                   minimize_isop, store, "isop")
+        calls = self.count_signatures(monkeypatch)
+        mgr = fresh_mgr()
+        warm = minimize_with_cover(make_isf(mgr, 0x5A, 0x81),
+                                   minimize_isop, store, "isop")
+        assert store.hits == 1 and len(calls) == 1
+        again = minimize_with_cover(make_isf(mgr, 0x5A, 0x81),
+                                    minimize_isop, store, "isop")
+        assert again == warm
+        assert store.hits == 1 and len(calls) == 1
+        assert warm[1] == cold[1]
+        assert warm[0] == minimize_isop(make_isf(mgr, 0x5A, 0x81))
+
+    def test_no_stale_entry_after_collect(self):
+        mgr = fresh_mgr()
+        store = MemoStore()
+        old = make_isf(mgr, 0x96, 0x00)
+        minimize_with_cover(old, minimize_isop, store, "isop")
+        mgr.collect()                # nothing pinned: ``old`` is dropped
+        isf = make_isf(mgr, 0x56, 0x00)
+        assert (isf.on, isf.dc) == (old.on, old.dc)   # ids reused
+        node, cover = minimize_with_cover(isf, minimize_isop, store, "isop")
+        assert node == isf.on
+        assert cover == minimize_with_cover(make_isf(fresh_mgr(), 0x56, 0),
+                                            minimize_isop, MemoStore(),
+                                            "isop")[1]
+
+    @given(st.lists(st.tuples(tt8, tt8), min_size=1, max_size=8))
+    @settings(max_examples=40, deadline=None)
+    def test_repeats_match_the_plain_minimiser(self, tables):
+        mgr = fresh_mgr()
+        store = MemoStore()
+        for on_tt, dc_tt in tables * 2:
+            isf = make_isf(mgr, on_tt, dc_tt)
+            node, cover = minimize_with_cover(isf, minimize_isop, store,
+                                              "isop")
+            assert node == minimize_isop(isf)
+            rebuilt = FALSE
+            for cube in cover:
+                rebuilt = mgr.or_(rebuilt, mgr.cube(dict(cube)))
+            assert rebuilt == node

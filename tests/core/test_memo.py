@@ -12,7 +12,8 @@ from repro.core import (BooleanRelation, BrelOptions, BrelSolver, Isf,
                         MemoStore, minimize_isop, minimizer_memo_key,
                         quick_solve, solve_misf)
 from repro.core.memo import (instantiate_cover, instantiate_solution,
-                             solution_template, template_from_var_cover,
+                             renumber_cover, solution_template,
+                             template_from_var_cover,
                              var_cover_from_template)
 from repro.benchdata.brgen import random_relation
 from repro.core.minimize import minimize_restrict
@@ -174,10 +175,78 @@ class TestTemplates:
         rank_of_var = {var: rank for rank, var in enumerate(support)}
         assert template_from_var_cover(var_cover, rank_of_var) == template
 
+    def test_templates_share_interned_literals(self):
+        support = (3, 5, 8)
+        rank_of_var = {var: rank for rank, var in enumerate(support)}
+        first = template_from_var_cover((((3, True), (8, False)),),
+                                        rank_of_var)
+        second = template_from_var_cover((((8, False),), ((5, True),)),
+                                         rank_of_var)
+        assert first == (((0, True), (2, False)),)
+        assert first[0][1] is second[0][0]
+        levels = var_cover_from_template(first, support)
+        assert levels[0][0] is var_cover_from_template(
+            (((0, True),),), support)[0][0]
+        assert all(type(polarity) is bool
+                   for cube in first + second + levels
+                   for _, polarity in cube)
+
+    def test_renumbered_cubes_are_sorted(self):
+        assert renumber_cover([((2, True), (0, False))]) == \
+            (((0, False), (2, True)),)
+        assert renumber_cover([((1, True), (4, False))], {1: 5, 4: 0}) == \
+            (((0, False), (5, True)),)
+        with pytest.raises(KeyError):
+            renumber_cover([((7, True),)], {1: 0})
+
     def test_constant_cover_round_trip(self):
         mgr = BddManager(["a"])
         assert instantiate_cover(mgr, (), ()) == FALSE
         assert instantiate_cover(mgr, ((),), ()) == TRUE
+
+
+class TestExactRepeatEntries:
+    """Signatures and instantiations repeat from the computed table."""
+
+    def test_relation_signature_repeats_from_the_table(self):
+        relation = fig1_relation()
+        mgr = relation.mgr
+        sig = relation.signature()
+        before = mgr.stats()
+        again = BooleanRelation(mgr, relation.inputs, relation.outputs,
+                                relation.node)
+        assert again.signature() == sig
+        after = mgr.stats()
+        assert after["template_hits"] == before["template_hits"] + 1
+        assert after["template_misses"] == before["template_misses"]
+        mgr.clear_caches()
+        third = BooleanRelation(mgr, relation.inputs, relation.outputs,
+                                relation.node)
+        assert third.signature() == sig
+        assert mgr.stats()["template_misses"] == after["template_misses"] + 1
+
+    def test_out_of_frame_signature_repeats_as_none(self):
+        mgr = BddManager(["x", "y", "z"])
+        node = mgr.and_(mgr.var(0), mgr.var(2))
+        assert BooleanRelation(mgr, (0,), (1,), node).signature() is None
+        hits = mgr.stats()["template_hits"]
+        assert BooleanRelation(mgr, (0,), (1,), node).signature() is None
+        assert mgr.stats()["template_hits"] == hits + 1
+
+    def test_instantiation_repeats_from_the_table(self):
+        relation = fig1_relation()
+        solution = quick_solve(relation)
+        support = relation.signature().support
+        template = solution_template(relation.mgr, solution.functions,
+                                     support)
+        mgr = relation.mgr
+        first = instantiate_solution(mgr, template, support)
+        before = mgr.stats()
+        assert instantiate_solution(mgr, template, list(support)) == first
+        after = mgr.stats()
+        assert after["template_hits"] == before["template_hits"] + 1
+        assert after["cache_misses"] == before["cache_misses"]
+        assert first == tuple(solution.functions)
 
 
 class TestMemoisedEntryPoints:
@@ -201,11 +270,17 @@ class TestMemoisedEntryPoints:
         assert default.functions == quick_solve(relation).functions
 
     def test_solve_misf_memoises_components(self):
+        # A repeat in the same manager is served by the engine's computed
+        # table, so the warm solve rebuilds the relation in a second
+        # manager: cross-manager reuse is the store's job.
         relation = fig1_relation()
         store = MemoStore()
         fresh = solve_misf(relation.misf())
         cold = solve_misf(relation.misf(), memo=store)
-        warm = solve_misf(relation.misf(), memo=store)
+        assert store.hits == 0
+        rebuilt = fig1_relation()
+        assert rebuilt.mgr is not relation.mgr
+        warm = solve_misf(rebuilt.misf(), memo=store)
         assert fresh == cold == warm
         assert store.hits > 0
 
