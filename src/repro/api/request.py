@@ -275,10 +275,6 @@ class SolveRequest:
         self.to_options()
 
     # -- conversion ----------------------------------------------------
-    def exploration_strategy(self) -> str:
-        """The exploration strategy name."""
-        return self.strategy
-
     def to_options(self) -> BrelOptions:
         """Resolve the registry names into live :class:`BrelOptions`."""
         return BrelOptions(

@@ -27,21 +27,17 @@ from __future__ import annotations
 
 import functools
 import json
-import time
 from typing import (Any, Dict, Generator, Iterable, List, Mapping, Optional,
                     Sequence, Tuple, Union)
 
 from ..bdd.manager import BddManager
-from ..core.brel import BrelResult, BrelSolver
+from ..core.brel import BrelSolver
 from ..core.explore import CancelToken, Improvement, Observer
 from ..core.jobs import (MAX_SNAPSHOT_INPUTS, JobContext, JobRun,
                          check_executor)
 from ..core.memo import DEFAULT_MEMO_CAPACITY, MemoStore
-from ..core.partition import (block_functions_from_pla, merge_block_stats,
-                              partition_relation, worst_stopped)
 from ..core.relation import BooleanRelation
 from ..core.relio import parse_relation, peek_shape, write_relation
-from ..core.solution import Solution, SolverStats
 from .report import SolveReport
 from .request import (RelationSpec, SolveRequest, build_relation,
                       normalize_relation_spec, relation_spec_to_jsonable,
@@ -56,7 +52,7 @@ DEFAULT_AUTO_TRIM_NODES = 500_000
 
 
 def _solve_job(payload: Dict[str, Any], ctx: JobContext) -> SolveReport:
-    """Solve one batch job or output block (the session's job function).
+    """Solve one batch job (the session's job function).
 
     Never raises: any failure — malformed request, unparsable relation,
     solver error — comes back as a failed report so one bad job cannot
@@ -445,16 +441,15 @@ class Session:
         # breakdown.  The portfolio racer line-up keys by its
         # *resolved* canonical JSON, so None and an explicitly
         # spelled-out default line-up share a slot.  Execution details
-        # that never change a result are NOT keyed: the block executor
-        # and portfolio_executor (serial/thread/process give identical
-        # answers).
-        if request.exploration_strategy() == "portfolio":
+        # that never change a result are NOT keyed: portfolio_executor
+        # (serial and process give identical answers).
+        if request.strategy == "portfolio":
             from ..core.portfolio import racers_cache_key
             racers = racers_cache_key(request.portfolio_racers)
         else:
             racers = None
         return (request.cost, request.minimizer,
-                request.exploration_strategy(),
+                request.strategy,
                 request.max_explored, request.fifo_capacity,
                 request.quick_on_subrelations, request.symmetry_pruning,
                 request.symmetry_max_depth, request.time_limit_seconds,
@@ -651,9 +646,7 @@ class Session:
     def solve(self, request: Optional[SolveRequest] = None,
               relation: Optional[RelationLike] = None, *,
               cancel: Optional[CancelToken] = None,
-              observer: Optional[Observer] = None,
-              block_executor: str = "serial",
-              block_workers: Optional[int] = None) -> SolveReport:
+              observer: Optional[Observer] = None) -> SolveReport:
         """Run one solve and return its report.
 
         The relation comes from the explicit ``relation`` argument or,
@@ -666,31 +659,8 @@ class Session:
         ``stopped="cancelled"``); ``observer`` receives every
         :class:`~repro.core.SolveEvent` of a fresh run (cache hits
         emit no events).
-
-        ``block_executor`` dispatches the *blocks of this one solve*
-        when output-block decomposition shards the relation
-        (:mod:`repro.core.partition`): ``"serial"`` (default) solves
-        them in the fixed partition order inside the solver loop;
-        ``"process"`` ships each block (PLA snapshot out, data-only
-        report back) through the same job runner :meth:`solve_many`
-        uses and recombines the per-block solutions in the caller's
-        manager — byte-identical to the serial result, since every
-        block still runs the same deterministic strategy loop.  Pool
-        dispatch needs every block snapshotable
-        (``max_snapshot_inputs``); relations that do not shard, calls
-        that need the live event stream (an ``observer`` or
-        ``record_trace`` — workers cannot stream events back) or a
-        single cross-block deadline (``time_limit_seconds``), and a
-        cancel that leaves a block unsolved all fall back to the
-        in-process solve, which still shards serially in-solver.
-        ``block_workers`` caps the pool (default: one worker per
-        block, capped at the CPU count).  Parallel-block reports are
-        data-first like :meth:`solve_many` reports (no live
-        ``solution`` handle on the recombined report's blocks; the
-        recombined solution itself is live).
         """
         request = request or SolveRequest()
-        check_executor(block_executor, "block_executor")
         resolved, spec, key, from_registry = \
             self._prepare_solve(request, relation)
         cached = self._cache.get(key)
@@ -703,177 +673,18 @@ class Session:
                                      request=request.to_dict())
         resolved, key = self._materialize(resolved, spec, key,
                                           from_registry, request)
-        report = None
-        partition = None
-        if (block_executor == "process"
-                and request.decompose is not False
-                and len(resolved.outputs) >= 2
-                # Pool workers cannot stream events back to the caller
-                # (observer/trace), and cannot share the serial path's
-                # single cross-block deadline (time limit); those
-                # contracts beat pooling, so such solves run in-solver.
-                and observer is None and not request.record_trace
-                and request.time_limit_seconds is None):
-            partition = partition_relation(resolved)
-            if not partition.is_trivial:
-                report = self._solve_blocks_pooled(request, resolved,
-                                                   partition,
-                                                   block_workers, cancel)
-        if report is None:
-            # Hand any partition computed above to the solver so the
-            # support/separability analysis is never paid twice.
-            result = BrelSolver(request.to_options(),
-                                memo=self._memo_for(request)).solve(
-                resolved, cancel=cancel, observer=observer,
-                partition=partition)
-            report = SolveReport.from_result(resolved, result,
-                                             request=request.to_dict(),
-                                             label=request.label)
+        result = BrelSolver(request.to_options(),
+                            memo=self._memo_for(request)).solve(
+            resolved, cancel=cancel, observer=observer)
+        report = SolveReport.from_result(resolved, result,
+                                         request=request.to_dict(),
+                                         label=request.label)
         # A cancelled solve is a partial result of *this call's* token,
         # which is not part of the cache key — caching it would serve
         # the truncated answer to future uncancelled calls.
         if report.stopped != "cancelled":
             self._cache[key] = report.copy()
         return report
-
-    def _solve_blocks_pooled(self, request: SolveRequest,
-                             resolved: BooleanRelation,
-                             partition,
-                             max_workers: Optional[int],
-                             cancel: Optional[CancelToken]
-                             ) -> Optional[SolveReport]:
-        """Shard one solve across worker processes; ``None`` = run
-        in-process.
-
-        Ships each block of the (non-trivial) ``partition`` as a
-        self-contained job (PLA snapshot + block request) and
-        recombines the per-block solution PLAs into a live full
-        solution in the caller's manager.  Returns ``None`` when a
-        cancel left a block unsolved — the caller then runs the
-        in-process solve, which still shards serially in-solver and
-        honours the token (immediately returning the quick
-        incumbents).  Block failures, a dead worker included, raise,
-        matching :meth:`solve`'s raise-on-failure contract.
-        """
-        # The serial path's solver checks left-totality first and lets
-        # NotWellDefinedError propagate; raise the same error here
-        # rather than shipping doomed blocks and wrapping the worker's
-        # failure in RuntimeError.
-        resolved.require_well_defined()
-        for block in partition.blocks:
-            if len(block.relation.inputs) > self.max_snapshot_inputs:
-                raise ValueError(
-                    "block %s of this relation has %d inputs; "
-                    "block_executor='process' snapshots each block to "
-                    "PLA text, which enumerates 2^inputs input vertices "
-                    "and is capped at max_snapshot_inputs=%d — use "
-                    "block_executor='serial' (or raise "
-                    "Session(max_snapshot_inputs=...)) for wide blocks"
-                    % (list(block.positions), len(block.relation.inputs),
-                       self.max_snapshot_inputs))
-        start = time.perf_counter()
-        memo_store = self._memo_for(request)
-        base_request = request.to_dict()
-        base_request["relation"] = None
-        # Blocks are connected components: they cannot shard further,
-        # but pin decomposition off so workers skip the re-analysis.
-        base_request["decompose"] = False
-        payloads = []
-        for block in partition.blocks:
-            label = "block-%d" % block.index
-            payloads.append({"pla": write_relation(block.relation),
-                             "request": dict(base_request, label=label),
-                             "label": label,
-                             "memo": memo_store is not None})
-        reports = self._solve_jobs(payloads, "process", max_workers,
-                                   cancel)
-        if (cancel is not None and cancel.cancelled
-                and not all(report.ok for report in reports)):
-            return None
-        for payload, block_report in zip(payloads, reports):
-            if not block_report.ok:
-                raise RuntimeError(
-                    "sharded solve failed on %s: %s"
-                    % (payload["label"], block_report.error))
-
-        options = request.to_options()
-        block_solutions = []
-        for block, block_report in zip(partition.blocks, reports):
-            functions = block_functions_from_pla(
-                resolved.mgr, block_report.pla,
-                block.relation.inputs, block.relation.outputs)
-            block_solutions.append(Solution(
-                resolved.mgr, functions,
-                options.cost_function(resolved.mgr, functions)))
-        full = partition.recombine_solutions(block_solutions,
-                                             options.cost_function)
-        stats = merge_block_stats(
-            [SolverStats(**block_report.stats)
-             for block_report in reports])
-        stats.runtime_seconds = time.perf_counter() - start
-        stats.bdd_nodes = resolved.mgr.num_nodes
-        stopped = worst_stopped(
-            [block_report.stopped or "exhausted"
-             for block_report in reports])
-        # No executor tag in the summary: pooled and serial sharded
-        # reports share a cache slot, so their content must not depend
-        # on which executor produced them.
-        summary = partition.summary()
-        for entry, solution, block_report in zip(
-                summary["blocks"], block_solutions, reports):
-            entry["cost"] = solution.cost
-            entry["stats"] = dict(block_report.stats)
-            entry["stopped"] = block_report.stopped
-        improvements = self._recombine_improvements(reports,
-                                                    block_solutions,
-                                                    full, stats)
-        result = BrelResult(
-            full, stats, improvements=improvements,
-            events=None, stopped=stopped, partition=summary)
-        return SolveReport.from_result(resolved, result,
-                                       request=request.to_dict(),
-                                       label=request.label)
-
-    @staticmethod
-    def _recombine_improvements(reports: List[SolveReport],
-                                block_solutions: List[Solution],
-                                full: Solution,
-                                stats: SolverStats) -> List[Improvement]:
-        """Rebuild the serial-equivalent anytime trajectory.
-
-        The serial sharded loop records one improvement per strictly
-        improving recombination, walking the blocks in partition order;
-        for per-output-additive costs each block-local improvement
-        lowers the running total by exactly its local delta, so the
-        same trajectory (costs and cumulative explored counts; wall
-        stamps are worker-local) reconstructs from the block reports.
-        A cost function the block deltas cannot explain (the trajectory
-        would not end at the recombined cost) falls back to the single
-        final entry rather than fabricating a sequence.
-        """
-        trajectories = [list(report.improvements) for report in reports]
-        if any(not trajectory for trajectory in trajectories):
-            return [Improvement(full, full.cost, stats.runtime_seconds,
-                                stats.relations_explored)]
-        running = [trajectory[0]["cost"] for trajectory in trajectories]
-        best_total = sum(running)
-        improvements = [Improvement(full, best_total, 0.0, 0)]
-        explored_base = 0
-        for index, trajectory in enumerate(trajectories):
-            for entry in trajectory[1:]:
-                running[index] = entry["cost"]
-                candidate_total = sum(running)
-                if candidate_total < best_total:
-                    best_total = candidate_total
-                    improvements.append(Improvement(
-                        full, best_total, entry["elapsed_seconds"],
-                        explored_base + int(entry["explored"])))
-            explored_base += int(reports[index].stats.get(
-                "relations_explored", 0))
-        if improvements[-1].cost != full.cost:
-            return [Improvement(full, full.cost, stats.runtime_seconds,
-                                stats.relations_explored)]
-        return improvements
 
     def solve_iter(self, request: Optional[SolveRequest] = None,
                    relation: Optional[RelationLike] = None, *,

@@ -99,8 +99,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     try:
         request = _request_from_args(
             args, {"kind": "file", "path": args.relation})
-        report = Session().solve(request, observer=observer,
-                                 block_executor=args.block_executor)
+        report = Session().solve(request, observer=observer)
     except (OSError, ValueError, KeyError, RelationFormatError,
             NotWellDefinedError) as exc:
         print("error: %s" % exc, file=sys.stderr)
@@ -111,7 +110,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     print("# inputs=%d outputs=%d pairs=%d"
           % (report.num_inputs, report.num_outputs, report.pairs))
     print("# strategy=%s cost=%.0f explored=%d splits=%d runtime=%.3fs"
-          % (request.exploration_strategy(), report.cost,
+          % (request.strategy, report.cost,
              report.stats["relations_explored"],
              report.stats["splits"], report.stats["runtime_seconds"]))
     if report.partition:
@@ -410,12 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--no-decompose", dest="decompose",
                        action="store_false",
                        help="always solve the monolithic relation")
-    solve.add_argument("--block-executor",
-                       choices=EXECUTORS,
-                       default="serial",
-                       help="where decomposed blocks run: in-solver "
-                            "(serial) or on a worker pool (results "
-                            "are byte-identical either way)")
     solve.add_argument("--json", action="store_true",
                        help="emit the structured SolveReport as JSON")
     solve.set_defaults(func=_cmd_solve)

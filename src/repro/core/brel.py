@@ -50,12 +50,11 @@ from ..bdd.manager import FALSE
 from .cost import CostFunction, bdd_size_cost
 from .explore import (CancelToken, Improvement, Observer, SearchNode,
                       SolveEvent, get_strategy_factory, make_strategy)
-from .memo import (MemoStore, instantiate_solution,
-                   template_from_var_cover)
+from .memo import MemoStore, instantiate_solution, renumber_cover
 from .minimize import (IsfMinimizer, minimize_isop, minimize_with_cover,
                        minimizer_memo_key, solve_misf)
 from .partition import (Partition, merge_block_stats, partition_relation,
-                        worst_stopped)
+                        solve_counters, stamp_solve_stats, worst_stopped)
 from .quick import quick_solve
 from .relation import BooleanRelation
 from .solution import Solution, SolverStats
@@ -142,10 +141,9 @@ class BrelOptions:
     portfolio_executor:
         How the racers run: ``"serial"`` (the default, ``None``; a
         deterministic round-robin interleave) or ``"process"`` (one
-        worker process per racer; see :mod:`repro.core.jobs`).  Like
-        the session's block executor, this is an
-        execution detail — it never changes the solution — so cache
-        keys ignore it.  Rejected eagerly for any other strategy.
+        worker process per racer; see :mod:`repro.core.jobs`).  This
+        is an execution detail — it never changes the solution — so
+        cache keys ignore it.  Rejected eagerly for any other strategy.
     """
 
     cost_function: CostFunction = bdd_size_cost
@@ -163,10 +161,6 @@ class BrelOptions:
     portfolio_racers: Any = None
     portfolio_executor: Optional[str] = None
 
-    def exploration_strategy(self) -> str:
-        """The exploration strategy name."""
-        return self.strategy
-
     def __post_init__(self) -> None:
         if not (self.memo is None or isinstance(self.memo, bool)):
             # Strict identity matters downstream (`options.memo is
@@ -182,7 +176,7 @@ class BrelOptions:
                              "(None = auto: shard when the partition "
                              "finds at least two blocks)")
         try:
-            get_strategy_factory(self.exploration_strategy())
+            get_strategy_factory(self.strategy)
         except KeyError as exc:
             # Surface as ValueError: a bad name is an invalid option
             # value, and pre-strategy callers matched ValueError.
@@ -205,12 +199,11 @@ class BrelOptions:
         # options are built several times per solve (request validation,
         # to_options, the solve itself) and registered custom factories
         # are owed exactly one invocation per search.
-        if self.exploration_strategy() == "beam" \
-                and self.fifo_capacity == 0:
+        if self.strategy == "beam" and self.fifo_capacity == 0:
             raise ValueError("beam width must be >= 1: fifo_capacity=0 "
                              "leaves the beam frontier no room (use "
                              "None for the default width of 64)")
-        if self.exploration_strategy() == "portfolio":
+        if self.strategy == "portfolio":
             # Validate the racer line-up (and each racer's effective
             # options) here, where batch manifests are loaded.  Lazy
             # import: repro.core.portfolio imports this module.
@@ -221,7 +214,7 @@ class BrelOptions:
             raise ValueError(
                 "portfolio_racers/portfolio_executor apply only to "
                 "strategy='portfolio' (got strategy=%r)"
-                % self.exploration_strategy())
+                % self.strategy)
 
 
 @dataclass
@@ -301,18 +294,14 @@ class BrelSolver:
     # ------------------------------------------------------------------
     def solve(self, relation: BooleanRelation,
               cancel: Optional[CancelToken] = None,
-              observer: Optional[Observer] = None,
-              partition: Optional[Partition] = None) -> BrelResult:
+              observer: Optional[Observer] = None) -> BrelResult:
         """Solve a well-defined relation; raises if it is not left-total.
 
         Drives :meth:`iter_events` to completion, dispatching events to
         the registered observers (plus the per-call ``observer``).
-        ``partition`` optionally hands over an already-computed
-        decomposition of this exact relation (see :meth:`iter_events`).
         """
         observers = self._notify(observer)
-        events = self.iter_events(relation, cancel=cancel,
-                                  partition=partition)
+        events = self.iter_events(relation, cancel=cancel)
         while True:
             try:
                 event = next(events)
@@ -349,8 +338,7 @@ class BrelSolver:
 
     # ------------------------------------------------------------------
     def iter_events(self, relation: BooleanRelation,
-                    cancel: Optional[CancelToken] = None,
-                    partition: Optional[Partition] = None
+                    cancel: Optional[CancelToken] = None
                     ) -> Generator[SolveEvent, None, BrelResult]:
         """The solver loop as a typed event stream.
 
@@ -364,24 +352,17 @@ class BrelSolver:
         a verified partition with at least two independent output
         blocks routes to the sharded loop (each block solved by its own
         strategy loop, results recombined), anything else to the
-        monolithic loop below.  A caller that already ran the analysis
-        (the :class:`~repro.api.Session` pooled-dispatch path) can pass
-        its ``partition`` to skip the re-analysis; it must describe
-        exactly this relation object.
+        monolithic loop below.
         """
         relation.require_well_defined()
         options = self.options
-        if partition is not None and partition.relation is not relation:
-            raise ValueError("the supplied partition describes a "
-                             "different relation")
         if options.decompose is not False and len(relation.outputs) >= 2:
-            if partition is None:
-                partition = partition_relation(relation)
+            partition = partition_relation(relation)
             if not partition.is_trivial:
                 result = yield from self._iter_events_sharded(
                     partition, cancel)
                 return result
-        if options.exploration_strategy() == "portfolio":
+        if options.strategy == "portfolio":
             # The portfolio meta-strategy replaces the monolithic loop
             # with a race of concrete-strategy sub-solvers (lazy import:
             # repro.core.portfolio imports this module).  Decomposition
@@ -424,8 +405,7 @@ class BrelSolver:
         deadline = (start + options.time_limit_seconds
                     if options.time_limit_seconds is not None else None)
         memo = self.memo
-        memo_before = memo.counters() if memo is not None else None
-        engine_before = relation.mgr.stats()
+        before = solve_counters(relation.mgr, memo)
         trace: Optional[List[SolveEvent]] = \
             [] if options.record_trace else None
         improvements: List[Improvement] = []
@@ -481,7 +461,6 @@ class BrelSolver:
                     stopped = "timeout"
                     yield event("timeout")
                     break
-                remaining = max(remaining, 0.0)
             sub = BrelSolver(self._block_options(remaining), memo=memo)
             events = sub.iter_events(block.relation, cancel=cancel)
             base_explored = explored_total
@@ -526,18 +505,7 @@ class BrelSolver:
         stats = merge_block_stats(
             [result.stats for result in block_results
              if result is not None])
-        stats.runtime_seconds = time.perf_counter() - start
-        engine_after = relation.mgr.stats()
-        stats.bdd_nodes = engine_after["nodes"]
-        stats.bdd_cache_hits = (engine_after["cache_hits"]
-                                - engine_before["cache_hits"])
-        stats.bdd_cache_misses = (engine_after["cache_misses"]
-                                  - engine_before["cache_misses"])
-        if memo_before is not None:
-            hits, misses, stores = memo.counters()
-            stats.memo_hits = hits - memo_before[0]
-            stats.memo_misses = misses - memo_before[1]
-            stats.memo_stores = stores - memo_before[2]
+        stamp_solve_stats(stats, start, relation.mgr, memo, before)
         summary = partition.summary()
         for entry, result, solution in zip(summary["blocks"],
                                            block_results, block_best):
@@ -566,9 +534,8 @@ class BrelSolver:
         deadline = (start + options.time_limit_seconds
                     if options.time_limit_seconds is not None else None)
         stats = SolverStats()
-        engine_before = relation.mgr.stats()
         memo = self.memo
-        memo_before = memo.counters() if memo is not None else None
+        before = solve_counters(relation.mgr, memo)
         trace: Optional[List[SolveEvent]] = \
             [] if options.record_trace else None
         improvements: List[Improvement] = []
@@ -603,7 +570,7 @@ class BrelSolver:
 
         symmetry = (SymmetryCache(relation, options.symmetry_max_depth)
                     if options.symmetry_pruning else None)
-        strategy = make_strategy(options.exploration_strategy(), options)
+        strategy = make_strategy(options.strategy, options)
         quick_on_subrelations = (options.quick_on_subrelations
                                  if options.quick_on_subrelations
                                  is not None
@@ -707,18 +674,7 @@ class BrelSolver:
                 yield event("prune", detail="frontier-overflow",
                             depth=depth + 1)
 
-        stats.runtime_seconds = time.perf_counter() - start
-        engine_after = relation.mgr.stats()
-        stats.bdd_nodes = engine_after["nodes"]
-        stats.bdd_cache_hits = (engine_after["cache_hits"]
-                                - engine_before["cache_hits"])
-        stats.bdd_cache_misses = (engine_after["cache_misses"]
-                                  - engine_before["cache_misses"])
-        if memo_before is not None:
-            hits, misses, stores = memo.counters()
-            stats.memo_hits = hits - memo_before[0]
-            stats.memo_misses = misses - memo_before[1]
-            stats.memo_stores = stores - memo_before[2]
+        stamp_solve_stats(stats, start, relation.mgr, memo, before)
         yield event("done", cost=best.cost)
         return BrelResult(best, stats, improvements=improvements,
                           events=trace, stopped=stopped)
@@ -774,7 +730,7 @@ class BrelSolver:
             conflict_free = conflicts == FALSE
             memo.put_if_mappable(
                 key,
-                lambda: (tuple(template_from_var_cover(cover, rank_of_var)
+                lambda: (tuple(renumber_cover(cover, rank_of_var)
                                for _, cover in minimized),
                          conflict_free))
         return Solution(relation.mgr, functions, cost), conflicts

@@ -2,8 +2,9 @@
 
 The paper's BREL recursion is sequential; all parallelism sits around
 it, as independent jobs plus a shared incumbent bound: the batches of
-``Session.solve_many``, the output blocks of one sharded solve, and the
-racers of a portfolio.  :class:`JobRun` runs such jobs on one of
+``Session.solve_many`` and the racers of a portfolio.  (The output
+blocks of one sharded solve run inside the solver, one after another.)
+:class:`JobRun` runs such jobs on one of
 :data:`EXECUTORS` and streams ``(job index, message)`` pairs back:
 
 ``"serial"``

@@ -113,22 +113,6 @@ def cover_template(mgr: BddManager, node: int,
     return renumber_cover((cube.items() for cube in cover), rank_of_var)
 
 
-def template_from_var_cover(cover: VarCover,
-                            rank_of_var: Dict[int, int]) -> CoverTemplate:
-    """Renumber a variable-level cover into a rank template.
-
-    Raises ``KeyError`` for out-of-support variables (see
-    :func:`cover_template`).
-    """
-    return renumber_cover(cover, rank_of_var)
-
-
-def var_cover_from_template(cover: CoverTemplate,
-                            support: Sequence[int]) -> VarCover:
-    """The inverse renumbering: rank template back to variable level."""
-    return renumber_cover(cover, support)
-
-
 def solution_template(mgr: BddManager, functions: Sequence[int],
                       support: Sequence[int]) -> SolutionTemplate:
     """Render a solved function vector as per-output rank covers."""
@@ -145,8 +129,7 @@ def instantiate_cover(mgr: BddManager, cover: CoverTemplate,
     exactly the node the original function would have (renamed through
     the rank -> ``support[rank]`` map), regardless of build order.
     """
-    return instantiate_var_cover(mgr,
-                                 var_cover_from_template(cover, support))
+    return instantiate_var_cover(mgr, renumber_cover(cover, support))
 
 
 def instantiate_var_cover(mgr: BddManager, cover: VarCover) -> int:

@@ -26,8 +26,7 @@ from ..bdd.manager import FALSE, MINIMIZE_TAG, TRUE
 from ..bdd.safemin import squeeze
 from .isf import Isf
 from .memo import (MemoStore, VarCover, instantiate_var_cover,
-                   renumber_cover, template_from_var_cover,
-                   var_cover_from_template)
+                   renumber_cover)
 
 #: Minimiser signature: ISF in, implementation node out.
 IsfMinimizer = Callable[[Isf], int]
@@ -213,13 +212,13 @@ def minimize_with_cover(isf: Isf, minimizer: IsfMinimizer,
     key = ("isf", sig.key, minimizer_name)
     template = memo.get(key)
     if template is not None:
-        cover = var_cover_from_template(template, sig.support)
+        cover = renumber_cover(template, sig.support)
         result = (instantiate_var_cover(mgr, cover), cover)
     else:
         result = _run_with_cover(isf, minimizer, minimizer_name)
         rank_of_var = sig.rank_map()
         memo.put_if_mappable(
-            key, lambda: template_from_var_cover(result[1], rank_of_var))
+            key, lambda: renumber_cover(result[1], rank_of_var))
     mgr.store_result(exact_key, result)
     return result
 

@@ -9,8 +9,8 @@ Functional Synthesis" (Akshay et al.) — and driving the split from a
 dependency graph as in "Analysis of Boolean Equation Systems through
 Structure Graphs" — this module turns one
 :class:`~repro.core.relation.BooleanRelation` into an equivalent set of
-*independent* sub-relations that can be solved separately (serially or
-in parallel) and recombined:
+*independent* sub-relations that can be solved separately (one after
+the other, in partition order) and recombined:
 
 1. build the **output–input support graph**: output ``j`` is adjacent
    to input ``x`` when the projection of the relation onto
@@ -36,6 +36,7 @@ search trees.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -309,13 +310,12 @@ def worst_stopped(reasons: Sequence[str]) -> str:
 
 
 def merge_block_stats(block_stats: Sequence[SolverStats]) -> SolverStats:
-    """Sum per-block solver counters into whole-solve stats.
+    """Sum per-block (or per-racer) solver counters into one stats.
 
     Additive counters sum; ``bdd_nodes`` (a point-in-time gauge of the
     shared manager) takes the maximum; ``runtime_seconds`` is left at
-    zero for the caller to overwrite with the wall clock of the whole
-    sharded solve (the sum of block runtimes would double-count wall
-    time under parallel dispatch).
+    zero — :func:`stamp_solve_stats` sets it, and the engine and memo
+    deltas, from the whole solve's own clock and counters.
     """
     total = SolverStats()
     for stats in block_stats:
@@ -337,19 +337,55 @@ def merge_block_stats(block_stats: Sequence[SolverStats]) -> SolverStats:
     return total
 
 
+def solve_counters(mgr, memo) -> Tuple[Dict[str, Any],
+                                       Optional[Tuple[int, int, int]]]:
+    """The engine and memo counters a solve loop starts from.
+
+    ``memo`` is a :class:`~repro.core.memo.MemoStore` or ``None``; pass
+    the pair to :func:`stamp_solve_stats` when the loop ends.
+    """
+    return mgr.stats(), (memo.counters() if memo is not None else None)
+
+
+def stamp_solve_stats(stats: SolverStats, start: float, mgr, memo,
+                      before: Tuple[Dict[str, Any],
+                                    Optional[Tuple[int, int, int]]]
+                      ) -> None:
+    """Close a solve loop's stats: wall clock and counter deltas.
+
+    Sets ``runtime_seconds`` from the ``time.perf_counter()`` stamp
+    ``start``, ``bdd_nodes`` to the manager's current node count, and
+    the BDD computed-table and memo hit/miss/store counters to their
+    growth since ``before`` (from :func:`solve_counters`).  The memo
+    fields are left alone when the loop ran without a store.
+    """
+    stats.runtime_seconds = time.perf_counter() - start
+    engine_before, memo_before = before
+    engine_after = mgr.stats()
+    stats.bdd_nodes = engine_after["nodes"]
+    stats.bdd_cache_hits = (engine_after["cache_hits"]
+                            - engine_before["cache_hits"])
+    stats.bdd_cache_misses = (engine_after["cache_misses"]
+                              - engine_before["cache_misses"])
+    if memo_before is not None:
+        hits, misses, stores = memo.counters()
+        stats.memo_hits = hits - memo_before[0]
+        stats.memo_misses = misses - memo_before[1]
+        stats.memo_stores = stores - memo_before[2]
+
+
 def block_functions_from_pla(mgr, pla_text: str,
                              inputs: Sequence[int],
                              outputs: Sequence[int]) -> Tuple[int, ...]:
-    """Rebuild a worker's solved block functions into ``mgr``.
+    """Rebuild a worker's solved functions into ``mgr``.
 
-    Parallel block dispatch ships each block to a worker as PLA text
-    and gets the solution back as the PLA of its functional relation
-    (BDD handles cannot cross the process boundary).  This parses that
-    text into a scratch manager, extracts the per-output functions, and
-    re-instantiates them over the block's variables in the parent
-    manager via canonical ISOP covers — byte-identical to solving the
-    block in-process, by the same ROBDD-canonicity argument the memo
-    templates rely on.
+    A process portfolio racer sends its solutions back as the PLA of
+    their functional relation (BDD handles cannot cross the process
+    boundary).  This parses that text into a scratch manager, extracts
+    the per-output functions, and re-instantiates them over
+    ``inputs`` in the parent manager via canonical ISOP covers —
+    byte-identical to solving in-process, by the same ROBDD-canonicity
+    argument the memo templates rely on.
     """
     from .relio import parse_relation
     functional = parse_relation(pla_text)

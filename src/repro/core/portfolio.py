@@ -49,7 +49,8 @@ from typing import (TYPE_CHECKING, Any, Dict, Generator, List, Mapping,
 from . import jobs
 from .explore import CancelToken, Improvement, SolveEvent, \
     get_strategy_factory
-from .partition import block_functions_from_pla, merge_block_stats
+from .partition import (block_functions_from_pla, merge_block_stats,
+                        solve_counters, stamp_solve_stats)
 from .quick import quick_solve
 from .relation import BooleanRelation
 from .relio import parse_relation, write_relation
@@ -378,8 +379,7 @@ def race_portfolio(solver: "BrelSolver", relation: BooleanRelation,
     deadline = (start + options.time_limit_seconds
                 if options.time_limit_seconds is not None else None)
     memo = solver.memo
-    memo_before = memo.counters() if memo is not None else None
-    engine_before = relation.mgr.stats()
+    before = solve_counters(relation.mgr, memo)
     trace: Optional[List[SolveEvent]] = \
         [] if options.record_trace else None
     improvements: List[Improvement] = []
@@ -502,18 +502,7 @@ def race_portfolio(solver: "BrelSolver", relation: BooleanRelation,
     stats = merge_block_stats([o.stats for o in outcomes
                                if o.stats is not None])
     stats.quick_solutions += 1  # the root incumbent above
-    stats.runtime_seconds = time.perf_counter() - start
-    engine_after = relation.mgr.stats()
-    stats.bdd_nodes = engine_after["nodes"]
-    stats.bdd_cache_hits = (engine_after["cache_hits"]
-                            - engine_before["cache_hits"])
-    stats.bdd_cache_misses = (engine_after["cache_misses"]
-                              - engine_before["cache_misses"])
-    if memo_before is not None:
-        hits, misses, stores = memo.counters()
-        stats.memo_hits = hits - memo_before[0]
-        stats.memo_misses = misses - memo_before[1]
-        stats.memo_stores = stores - memo_before[2]
+    stamp_solve_stats(stats, start, relation.mgr, memo, before)
 
     summary = {
         "executor": executor,

@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence
 
 from .cost import CostFunction, bdd_size_cost
 from .memo import (MemoStore, VarCover, instantiate_solution,
-                   template_from_var_cover)
+                   renumber_cover)
 from .minimize import (IsfMinimizer, minimize_isop, minimize_with_cover,
                        minimizer_memo_key)
 from .relation import BooleanRelation
@@ -100,7 +100,7 @@ def quick_solve(relation: BooleanRelation,
     if key is not None:
         rank_of_var = sig.rank_map()
         memo.put_if_mappable(
-            key, lambda: tuple(template_from_var_cover(cover, rank_of_var)
+            key, lambda: tuple(renumber_cover(cover, rank_of_var)
                                for cover in covers))
     cost = cost_function(relation.mgr, functions)
     return Solution(relation.mgr, functions, cost)

@@ -69,8 +69,7 @@ class TestStrategyField:
     def test_default_strategy_is_bfs(self):
         request = SolveRequest(relation=fig1_spec())
         assert request.strategy == "bfs"
-        assert request.exploration_strategy() == "bfs"
-        assert request.to_options().exploration_strategy() == "bfs"
+        assert request.to_options().strategy == "bfs"
 
     def test_unknown_strategy_did_you_mean(self):
         with pytest.raises(ValueError, match="did you mean"):
@@ -91,7 +90,7 @@ class TestStrategyField:
         assert request.strategy == "beam"
         assert request.record_trace is True
         rebuilt = request.to_options()
-        assert rebuilt.exploration_strategy() == "beam"
+        assert rebuilt.strategy == "beam"
         assert rebuilt.record_trace is True
 
 

@@ -1,4 +1,4 @@
-"""Session-level output-block decomposition: dispatch, cache, reports."""
+"""Session-level output-block decomposition: solve, cache, reports."""
 
 import json
 
@@ -61,51 +61,23 @@ class TestSessionSolveSharded:
         assert report.partition is None
         assert report.compatible
 
-    def test_pooled_blocks_byte_identical_to_serial(self, session):
-        serial = session.solve(BLOCK_REQUEST)
-        session.clear_cache()
-        pooled = session.solve(BLOCK_REQUEST, block_executor="process")
-        assert pooled.cost == serial.cost
-        assert pooled.sop == serial.sop
-        assert pooled.solution is not None
-        assert pooled.solution.functions == serial.solution.functions
-        # Pool dispatch is an execution detail, not a result property:
-        # the partition summary carries no executor tag (pooled and
-        # serial reports share one cache slot, so their content must
-        # not depend on which executor produced them).
-        assert pooled.partition["num_blocks"] == \
-            serial.partition["num_blocks"]
-        assert "executor" not in pooled.partition
-
     #: (block shapes, seed); the first two partition into a block with
-    #: no inputs at all (its outputs ignore every input), which pool
-    #: dispatch ships as a zero-input PLA snapshot.
-    POOLED_CASES = [([(1, 1), (1, 1)], 1), ([(1, 2), (2, 1)], 7),
+    #: no inputs at all (its outputs ignore every input).
+    SHAPED_CASES = [([(1, 1), (1, 1)], 1), ([(1, 2), (2, 1)], 7),
                     ([(2, 2), (3, 1)], 4), ([(3, 2), (2, 2)], 9)]
 
-    @pytest.mark.parametrize("shapes,seed", POOLED_CASES)
-    def test_pooled_blocks_match_serial_on_assorted_shapes(self, shapes,
-                                                           seed):
+    @pytest.mark.parametrize("shapes,seed", SHAPED_CASES)
+    def test_sharded_solve_on_assorted_shapes(self, shapes, seed):
         session = Session()
         relation = block_structured_relation(shapes, seed=seed)
         session.add_relation("shaped", relation)
-        request = SolveRequest(relation="shaped", max_explored=50)
-        serial = session.solve(request)
-        session.clear_cache()
-        pooled = session.solve(request, block_executor="process")
-        assert pooled.ok and pooled.partition is not None
-        assert pooled.cost == serial.cost
-        assert pooled.sop == serial.sop
-        assert pooled.solution.functions == serial.solution.functions
-        assert relation.is_compatible(pooled.solution.functions)
-
-    def test_pooled_solve_is_cached_and_shared_with_serial(self, session):
-        first = session.solve(BLOCK_REQUEST, block_executor="process")
-        hits_before = session.cache_hits
-        second = session.solve(BLOCK_REQUEST)  # serial call, same key
-        assert session.cache_hits == hits_before + 1
-        assert second.cached
-        assert second.cost == first.cost
+        report = session.solve(SolveRequest(relation="shaped",
+                                            max_explored=50))
+        assert report.ok and report.partition is not None
+        assert report.partition["num_blocks"] >= 2
+        assert relation.is_compatible(report.solution.functions)
+        assert report.cost == sum(block["cost"]
+                                  for block in report.partition["blocks"])
 
     def test_auto_and_forced_on_share_a_cache_slot(self, session):
         first = session.solve(BLOCK_REQUEST)
@@ -122,103 +94,96 @@ class TestSessionSolveSharded:
         assert not off.cached
         assert off.partition is None
 
-    @pytest.mark.parametrize("executor", ("gpu", "thread"))
-    def test_bad_block_executor_rejected(self, session, executor):
-        with pytest.raises(ValueError,
-                           match="block_executor.*'serial', 'process'"):
-            session.solve(BLOCK_REQUEST, block_executor=executor)
-
-    def test_wide_block_refuses_pool_snapshot(self):
-        session = Session(max_snapshot_inputs=3)
-        session.add_relation(
-            "wide", block_structured_relation([(4, 2), (2, 1)], seed=1))
-        with pytest.raises(ValueError, match="max_snapshot_inputs"):
-            session.solve(SolveRequest(relation="wide"),
-                          block_executor="process")
-        # Serial solving of the same relation is unaffected.
-        report = session.solve(SolveRequest(relation="wide"))
-        assert report.partition is not None
-
-    def test_record_trace_falls_back_to_in_process_sharding(self,
-                                                            session):
-        # Pool workers cannot stream events back; a traced request must
-        # keep its trace (and the cache must never hold a trace-less
-        # report under a record_trace key).
-        report = session.solve(BLOCK_REQUEST.replace(record_trace=True),
-                               block_executor="process")
+    def test_record_trace_keeps_the_sharded_trace(self, session):
+        # A cache hit under a record_trace key must serve the trace too.
+        report = session.solve(BLOCK_REQUEST.replace(record_trace=True))
         assert report.trace is not None
         assert report.trace[0]["kind"] == "partition"
+        assert report.trace[-1]["kind"] == "done"
         again = session.solve(BLOCK_REQUEST.replace(record_trace=True))
         assert again.cached
-        assert again.trace is not None
+        assert again.trace == report.trace
 
-    def test_observer_falls_back_to_in_process_sharding(self, session):
+    def test_observer_sees_the_sharded_event_stream(self, session):
         events = []
-        report = session.solve(BLOCK_REQUEST,
-                               block_executor="process",
-                               observer=events.append)
+        report = session.solve(BLOCK_REQUEST, observer=events.append)
         assert report.partition is not None
         kinds = [event.kind for event in events]
         assert kinds[0] == "partition" and kinds[-1] == "done"
+        assert events[-1].cost == report.cost
 
-    def test_precancelled_pooled_solve_honours_the_token(self, session):
+    def test_precancelled_sharded_solve_honours_the_token(self, session):
         from repro.api import CancelToken
         cancel = CancelToken()
         cancel.cancel()
-        report = session.solve(BLOCK_REQUEST,
-                               block_executor="process", cancel=cancel)
+        report = session.solve(BLOCK_REQUEST, cancel=cancel)
         assert report.stopped == "cancelled"
         assert report.compatible
+        assert [block["stopped"]
+                for block in report.partition["blocks"]] == \
+            ["skipped", "skipped"]
         # Cancelled partial results never enter the cache.
         fresh = session.solve(BLOCK_REQUEST)
         assert not fresh.cached
 
-    def test_pooled_trajectory_matches_serial(self, session):
-        serial = session.solve(BLOCK_REQUEST)
-        session.clear_cache()
-        pooled = session.solve(BLOCK_REQUEST, block_executor="process")
-        # The anytime trajectory shares the cache slot with serial
-        # reports, so costs and cumulative explored counts must match
-        # (wall stamps are worker-local and excluded, like any timing).
-        assert [(imp["cost"], imp["explored"])
-                for imp in pooled.improvements] == \
-            [(imp["cost"], imp["explored"])
-             for imp in serial.improvements]
+    def test_sharded_trajectory_ends_at_the_report_cost(self, session):
+        report = session.solve(BLOCK_REQUEST)
+        costs = [imp["cost"] for imp in report.improvements]
+        explored = [imp["explored"] for imp in report.improvements]
+        assert costs and costs[-1] == report.cost
+        # Whole-relation incumbents: strictly improving, and the
+        # cumulative explored count never runs backwards across blocks.
+        assert costs == sorted(set(costs), reverse=True)
+        assert explored == sorted(explored)
+        again = session.solve(BLOCK_REQUEST)
+        assert again.cached
+        assert again.improvements == report.improvements
 
-    def test_time_limited_requests_never_pool(self, session,
-                                              monkeypatch):
-        # The serial sharded loop shares one deadline across blocks;
-        # pool workers cannot, so time-limited solves must run
-        # in-solver without ever reaching the pooled dispatcher.
-        called = []
-        monkeypatch.setattr(
-            Session, "_solve_blocks_pooled",
-            lambda self, *args, **kwargs: called.append(1) or None)
-        report = session.solve(
-            BLOCK_REQUEST.replace(time_limit_seconds=30.0),
-            block_executor="process")
-        assert not called
+    def test_solve_iter_streams_the_sharded_improvements(self, session):
+        stream = session.solve_iter(BLOCK_REQUEST)
+        yielded = []
+        while True:
+            try:
+                yielded.append(next(stream))
+            except StopIteration as stop:
+                report = stop.value
+                break
         assert report.partition is not None
+        assert report.partition["num_blocks"] == 2
+        assert [imp.cost for imp in yielded] == \
+            [imp["cost"] for imp in report.improvements]
+        assert yielded[-1].cost == report.cost
+        assert report.compatible
 
-    def test_pooled_not_well_defined_raises_the_real_error(self):
-        # The pooled path must surface NotWellDefinedError like the
-        # serial path, not a RuntimeError wrapping a worker failure.
+    def test_time_limited_sharded_solve_shares_one_deadline(self,
+                                                            session):
+        events = []
+        report = session.solve(
+            BLOCK_REQUEST.replace(time_limit_seconds=0.0),
+            observer=events.append)
+        assert report.stopped == "timeout"
+        assert report.compatible
+        assert report.partition is not None
+        assert report.partition["num_blocks"] == 2
+        assert [event.kind for event in events].count("timeout") == 1
+
+    def test_not_well_defined_multi_output_relation_raises(self):
         from repro.core import BooleanRelation, NotWellDefinedError
         session = Session()
         session.add_relation(
             "partial",
             BooleanRelation.from_output_sets([set(), set()], 1, 2))
         with pytest.raises(NotWellDefinedError):
-            session.solve(SolveRequest(relation="partial"),
-                          block_executor="process")
+            session.solve(SolveRequest(relation="partial"))
 
-    def test_pooled_blocks_use_session_memo(self, session):
-        before = session.memo_stats()["stores"]
-        session.solve(BLOCK_REQUEST, block_executor="process")
+    def test_blocks_use_session_memo(self, session):
+        assert session.memo_stats()["stores"] == 0
+        report = session.solve(BLOCK_REQUEST)
         stats = session.memo_stats()
-        # Worker counters merge back into the session store.
-        assert stats["misses"] + stats["hits"] > 0
-        assert before == 0
+        assert stats["stores"] > 0
+        assert stats["stores"] == report.stats["memo_stores"]
+        assert sum(block["stats"]["memo_stores"]
+                   for block in report.partition["blocks"]) > 0
 
 
 class TestReportSchema:

@@ -1,11 +1,14 @@
 """Property test: the transparent knobs never change an answer.
 
 Memoisation and the executors are execution details.  On any small
-seeded relation, every combination of memo and block executor must
-return a solution that is compatible with the relation, and all
-combinations must agree on the cost and the SOP; so must a batch run
-serially or on worker processes.  A portfolio race is only checked for
-compatibility: process timing may shift which shared bound prunes what.
+seeded relation, every combination of decomposition and memo must
+return a solution that is compatible with the relation, and memo on
+and off must agree on the cost and the SOP for each decomposition
+setting; so must a batch run serially or on worker processes.
+Decomposition is checked for compatibility only: the sharded and the
+monolithic searches walk different trees under the same budget.  A
+portfolio race is only checked for compatibility: process timing may
+shift which shared bound prunes what.
 """
 
 from hypothesis import given, settings
@@ -16,19 +19,19 @@ from repro.benchdata.brgen import block_structured_relation, random_relation
 from repro.core.jobs import EXECUTORS
 from repro.core.relio import parse_relation, write_relation
 
-#: (memo, block executor) combinations; ``memo=None`` is the session
-#: default (memo on).
-CONFIGS = [(memo, executor)
-           for memo in (None, False)
-           for executor in EXECUTORS]
+#: (decompose, memo) combinations; ``None`` is the default for both
+#: (shard when possible, memo on).
+CONFIGS = [(decompose, memo)
+           for decompose in (None, False)
+           for memo in (None, False)]
 
 
 @st.composite
 def small_relations(draw):
     """Seeded brgen relations with at most 5 inputs and 5 outputs.
 
-    Half the draws are block-structured, so the block executor has
-    independent blocks to dispatch.
+    Half the draws are block-structured, so decomposition has
+    independent blocks to shard.
     """
     seed = draw(st.integers(0, 10_000))
     if draw(st.booleans()):
@@ -42,22 +45,24 @@ def small_relations(draw):
 
 @settings(max_examples=20, deadline=None)
 @given(relation=small_relations(), strategy=st.sampled_from(["bfs", "dfs"]))
-def test_memo_and_block_executor_never_change_the_answer(relation,
-                                                         strategy):
+def test_memo_never_changes_the_answer_with_decompose_on_or_off(
+        relation, strategy):
     pla = write_relation(relation)
-    answers = set()
-    for memo, executor in CONFIGS:
-        # A fresh session and relation per combination: the report cache
-        # does not key the executor, and memo must start cold.
+    answers = {None: set(), False: set()}
+    for decompose, memo in CONFIGS:
+        # A fresh session and relation per combination: memo must start
+        # cold.
         subject = parse_relation(pla)
         report = Session().solve(
-            SolveRequest(strategy=strategy, memo=memo, max_explored=20),
-            relation=subject, block_executor=executor)
-        assert report.ok, (memo, executor, report.error)
+            SolveRequest(strategy=strategy, memo=memo, max_explored=20,
+                         decompose=decompose),
+            relation=subject)
+        assert report.ok, (decompose, memo, report.error)
         assert subject.is_compatible(report.solution.functions), \
-            (memo, executor)
-        answers.add((report.cost, report.sop))
-    assert len(answers) == 1, answers
+            (decompose, memo)
+        answers[decompose].add((report.cost, report.sop))
+    for decompose, found in answers.items():
+        assert len(found) == 1, (decompose, found)
 
 
 @settings(max_examples=8, deadline=None)

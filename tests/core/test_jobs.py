@@ -1,4 +1,4 @@
-"""The job runner behind batches, blocks and racers: order, failure
+"""The job runner behind batches and racers: order, failure
 isolation, dead workers, cancellation, the shared bound, fallbacks."""
 
 import os

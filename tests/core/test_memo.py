@@ -12,9 +12,7 @@ from repro.core import (BooleanRelation, BrelOptions, BrelSolver, Isf,
                         MemoStore, minimize_isop, minimizer_memo_key,
                         quick_solve, solve_misf)
 from repro.core.memo import (instantiate_cover, instantiate_solution,
-                             renumber_cover, solution_template,
-                             template_from_var_cover,
-                             var_cover_from_template)
+                             renumber_cover, solution_template)
 from repro.benchdata.brgen import random_relation
 from repro.core.minimize import minimize_restrict
 
@@ -171,22 +169,21 @@ class TestTemplates:
     def test_var_cover_conversions_invert(self):
         support = (3, 5, 8)
         template = (((0, True), (2, False)), ((1, False),), ())
-        var_cover = var_cover_from_template(template, support)
+        var_cover = renumber_cover(template, support)
         rank_of_var = {var: rank for rank, var in enumerate(support)}
-        assert template_from_var_cover(var_cover, rank_of_var) == template
+        assert renumber_cover(var_cover, rank_of_var) == template
 
     def test_templates_share_interned_literals(self):
         support = (3, 5, 8)
         rank_of_var = {var: rank for rank, var in enumerate(support)}
-        first = template_from_var_cover((((3, True), (8, False)),),
-                                        rank_of_var)
-        second = template_from_var_cover((((8, False),), ((5, True),)),
-                                         rank_of_var)
+        first = renumber_cover((((3, True), (8, False)),), rank_of_var)
+        second = renumber_cover((((8, False),), ((5, True),)),
+                                rank_of_var)
         assert first == (((0, True), (2, False)),)
         assert first[0][1] is second[0][0]
-        levels = var_cover_from_template(first, support)
-        assert levels[0][0] is var_cover_from_template(
-            (((0, True),),), support)[0][0]
+        levels = renumber_cover(first, support)
+        assert levels[0][0] is renumber_cover((((0, True),),),
+                                              support)[0][0]
         assert all(type(polarity) is bool
                    for cube in first + second + levels
                    for _, polarity in cube)
@@ -337,7 +334,6 @@ class TestStrategyDefault:
     def test_strategy_defaults_to_bfs(self):
         options = BrelOptions()
         assert options.strategy == "bfs"
-        assert options.exploration_strategy() == "bfs"
 
     def test_mode_alias_is_gone(self):
         with pytest.raises(TypeError, match="mode"):

@@ -1,5 +1,7 @@
 """Output-block decomposition: partitioning, routing, recombination."""
 
+import time
+
 import pytest
 
 from repro.benchdata.brgen import block_structured_relation, random_relation
@@ -8,6 +10,7 @@ from repro.core import (BooleanRelation, BrelOptions, BrelSolver,
                         CancelToken, MemoStore, Solution, SolverStats,
                         merge_block_stats, partition_relation,
                         support_components, worst_stopped)
+from repro.core.partition import solve_counters, stamp_solve_stats
 
 
 def fig1_relation():
@@ -171,6 +174,46 @@ class TestHelpers:
         assert merged.memo_hits == 3
         assert merged.runtime_seconds == 0.0  # caller owns the wall
 
+    def test_solve_counters_snapshot_engine_and_memo(self):
+        relation = fig1_relation()
+        store = MemoStore()
+        engine, memo = solve_counters(relation.mgr, store)
+        assert engine == relation.mgr.stats()
+        assert memo == store.counters()
+        assert solve_counters(relation.mgr, None)[1] is None
+
+    def test_stamp_solve_stats_records_growth_since_the_snapshot(self):
+        relation = block_structured_relation([(3, 2)], seed=5)
+        store = MemoStore()
+        before = solve_counters(relation.mgr, store)
+        start = time.perf_counter()
+        BrelSolver(BrelOptions(), memo=store).solve(relation)
+        stats = SolverStats()
+        stamp_solve_stats(stats, start, relation.mgr, store, before)
+        after = relation.mgr.stats()
+        assert stats.runtime_seconds > 0.0
+        assert stats.bdd_nodes == after["nodes"]
+        assert stats.bdd_cache_hits == \
+            after["cache_hits"] - before[0]["cache_hits"]
+        assert stats.bdd_cache_misses == \
+            after["cache_misses"] - before[0]["cache_misses"]
+        hits, misses, stores = store.counters()
+        assert (stats.memo_hits, stats.memo_misses, stats.memo_stores) == \
+            (hits - before[1][0], misses - before[1][1],
+             stores - before[1][2])
+        assert stats.memo_stores > 0
+
+    def test_stamp_solve_stats_leaves_memo_fields_without_a_store(self):
+        relation = fig1_relation()
+        before = solve_counters(relation.mgr, None)
+        stats = SolverStats(memo_hits=7, memo_misses=8, memo_stores=9)
+        stamp_solve_stats(stats, time.perf_counter(), relation.mgr, None,
+                          before)
+        assert (stats.memo_hits, stats.memo_misses, stats.memo_stores) == \
+            (7, 8, 9)
+        assert stats.bdd_cache_hits == 0
+        assert stats.bdd_cache_misses == 0
+
 
 class TestShardedSolver:
     def test_sharded_result_carries_partition_summary(self):
@@ -282,33 +325,6 @@ class TestShardedSolver:
         # One shared deadline, one timeout event — never one per block.
         assert [event.kind for event in events].count("timeout") == 1
 
-    def test_supplied_partition_skips_reanalysis(self):
-        from repro.core import partition_relation
-        relation = block_structured_relation([(3, 2), (3, 2)], seed=5)
-        partition = partition_relation(relation)
-        handed = BrelSolver(BrelOptions()).solve(relation,
-                                                 partition=partition)
-        fresh = BrelSolver(BrelOptions()).solve(relation)
-        assert handed.solution.functions == fresh.solution.functions
-        assert handed.partition["num_blocks"] == \
-            fresh.partition["num_blocks"]
-        # Per-block stats carry wall-clock stamps; compare the
-        # structural fields only.
-        for mine, theirs in zip(handed.partition["blocks"],
-                                fresh.partition["blocks"]):
-            assert mine["outputs"] == theirs["outputs"]
-            assert mine["cost"] == theirs["cost"]
-            assert mine["stopped"] == theirs["stopped"]
-
-    def test_supplied_partition_must_match_the_relation(self):
-        from repro.core import partition_relation
-        relation = block_structured_relation([(3, 2), (3, 2)], seed=5)
-        other = block_structured_relation([(3, 2), (3, 2)], seed=6)
-        partition = partition_relation(other)
-        with pytest.raises(ValueError, match="different relation"):
-            BrelSolver(BrelOptions()).solve(relation,
-                                            partition=partition)
-
     def test_sharded_solve_is_memo_transparent(self):
         relation = block_structured_relation([(4, 2), (4, 2)], seed=7)
         store = MemoStore()
@@ -339,6 +355,59 @@ class TestShardedSolver:
         assert result.partition is not None
         assert result.partition["num_blocks"] == 2
         assert result.stats.memo_hits > 0
+
+    #: The three solve loops that close their stats with
+    #: :func:`stamp_solve_stats`.
+    LOOP_OPTIONS = {
+        "monolithic": dict(decompose=False),
+        "sharded": dict(decompose=True),
+        "portfolio": dict(strategy="portfolio", decompose=False,
+                          portfolio_executor="serial"),
+    }
+
+    @pytest.mark.parametrize("loop", sorted(LOOP_OPTIONS))
+    def test_solve_loop_reports_its_own_memo_and_engine_counters(self,
+                                                                  loop):
+        relation = block_structured_relation([(4, 2), (4, 2)], seed=3)
+        store = MemoStore()
+        before = store.counters()
+        result = BrelSolver(BrelOptions(max_explored=200,
+                                        **self.LOOP_OPTIONS[loop]),
+                            memo=store).solve(relation)
+        after = store.counters()
+        stats = result.stats
+        assert (stats.memo_hits, stats.memo_misses, stats.memo_stores) == \
+            tuple(now - then for now, then in zip(after, before))
+        assert stats.memo_stores > 0
+        assert stats.bdd_nodes == relation.mgr.stats()["nodes"]
+        assert stats.bdd_cache_hits > 0
+        assert stats.runtime_seconds > 0.0
+        assert (result.partition is not None) == (loop == "sharded")
+        assert (result.portfolio is not None) == (loop == "portfolio")
+
+    @pytest.mark.parametrize("num_blocks", (2, 3, 4))
+    def test_each_block_costs_what_it_costs_alone(self, num_blocks):
+        # Blocks run in partition order under one budget; within that
+        # budget each block reaches the cost a monolithic solve of the
+        # block relation on its own reaches.
+        for seed in (0, 1, 3, 5):
+            relation = block_structured_relation([(4, 2)] * num_blocks,
+                                                 seed=seed)
+            result = BrelSolver(BrelOptions(max_explored=500)).solve(
+                relation)
+            entries = result.partition["blocks"]
+            blocks = partition_relation(relation).blocks
+            assert len(entries) == len(blocks) == num_blocks
+            for entry, block in zip(entries, blocks):
+                alone = BrelSolver(BrelOptions(
+                    decompose=False, max_explored=500)).solve(
+                        block.relation)
+                assert entry["stopped"] == alone.stopped == "exhausted"
+                assert entry["cost"] == alone.solution.cost, \
+                    (seed, block.index)
+            assert result.solution.cost == sum(entry["cost"]
+                                               for entry in entries)
+            assert relation.is_compatible(result.solution.functions)
 
     def test_tristate_validation(self):
         with pytest.raises(ValueError):

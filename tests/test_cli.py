@@ -191,17 +191,14 @@ class TestSolveCommand:
         assert all(block["stopped"] == "exhausted"
                    for block in report["partition"]["blocks"])
 
-    def test_solve_block_executor_matches_serial(
+    def test_solve_block_executor_is_a_usage_error(
             self, block_relation_file, capsys):
-        assert main(["solve", block_relation_file, "--json"]) == 0
-        serial = json.loads(capsys.readouterr().out)
-        assert main(["solve", block_relation_file, "--json",
-                     "--block-executor", "process"]) == 0
-        pooled = json.loads(capsys.readouterr().out)
-        assert pooled["cost"] == serial["cost"]
-        assert pooled["sop"] == serial["sop"]
-        assert pooled["partition"]["num_blocks"] == \
-            serial["partition"]["num_blocks"]
+        # Blocks always run in-solver; the old pool flag is refused.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["solve", block_relation_file, "--block-executor",
+                  "process"])
+        assert excinfo.value.code == 2
+        assert "--block-executor" in capsys.readouterr().err
 
 
 class TestBatchCommand:
